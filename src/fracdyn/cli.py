@@ -400,8 +400,10 @@ def _cmd_subordinate(config: dict, out: Path, digest: str,
                                   seed + i)
         return (t, quad, ml, est.mean, est.stderr, n_samples, seed + i)
 
-    # Per-trajectory seeding makes each row a pure function of (config,
-    # seed, row index): thread count cannot change the output bytes.
+    # Row i's samples come in fixed 4096-sample blocks, block b drawn from
+    # SeedSequence([seed + i, b]) (see trajectory_estimate), so each row is
+    # a pure function of (config, seed, row index): thread count cannot
+    # change the output bytes.
     with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
         rows = list(pool.map(compute_row, range(grid.size)))
     _emit_csv(out, digest,

@@ -43,6 +43,9 @@ __all__ = [
 
 _AlphaLike = Union[float, FractionalOrder]
 
+# Monte-Carlo samples per seeded block in trajectory_estimate.
+_MC_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class OperationalClock:
@@ -111,17 +114,17 @@ class TrajectoryEstimate:
 
 
 def levy_density(clock: OperationalClock, u) -> Union[float, np.ndarray]:
-    """Inverse-stable density f_alpha(u, t) = t^(-alpha) M_alpha(u t^(-alpha))."""
+    """Inverse-stable density f_alpha(u, t) = t^(-alpha) M_alpha(u t^(-alpha)).
+
+    ``u`` may be a scalar (returns ``float``) or an array of any shape,
+    evaluated in one vectorized :func:`m_wright` call.
+    """
     a = _alpha_value(clock.alpha)
     scale = clock.t ** (-a)
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("u must be finite and >= 0")
-    flat = np.atleast_1d(arr)
-    out = np.array([scale * m_wright(a, float(x) * scale) for x in flat])
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return scale * m_wright(a, arr * scale)
 
 
 def sample_clock(
@@ -267,10 +270,12 @@ def trajectory_estimate(
 ) -> TrajectoryEstimate:
     """Monte-Carlo mean of tr[O rho(t)] over sampled operational times.
 
-    Each trajectory k draws u_k from its own substream seeded by
-    SeedSequence([seed, k]) — results are bitwise independent of execution
-    order — and contributes tr[O e^(u_k L) rho(0)].  Mean and standard error
-    come from a two-pass accumulation.
+    Operational times are drawn in blocks of 4096 samples (the last block
+    holds the remainder): block b is one vectorized draw from the stream
+    SeedSequence([seed, b]), so the result depends only on
+    ``(seed, n_samples)``, never on thread count or call order.  Sample k
+    contributes tr[O e^(u_k L) rho(0)].  Mean and standard error come from
+    a two-pass accumulation.
     """
     a = _alpha_value(alpha)
     t = float(t)
@@ -289,11 +294,12 @@ def trajectory_estimate(
 
     clock = OperationalClock(FractionalOrder(a), t)
     u = np.empty(n_samples)
-    for k in range(n_samples):
+    for b, lo in enumerate(range(0, n_samples, _MC_BLOCK)):
+        hi = min(lo + _MC_BLOCK, n_samples)
         rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, k]))
+            np.random.PCG64(np.random.SeedSequence([seed, b]))
         )
-        u[k] = sample_clock(clock, rng)
+        u[lo:hi] = sample_clock(clock, rng, size=hi - lo)
 
     M = build_superoperator(gen).matrix
     spectral = _spectral_factors(M)
@@ -303,8 +309,11 @@ def trajectory_estimate(
     if spectral is not None:
         evals, V, Vinv = spectral
         c = (o_row @ V) * (Vinv @ rho0)
+        # A row sum, not `@ c`: OpenBLAS runs an (n_samples, d^2) complex
+        # mat-vec on its thread pool, whose spinning workers slow the other
+        # CLI row threads on a 2-core host by about a third.
         with np.errstate(over="ignore", under="ignore"):
-            vals = np.exp(np.outer(u, evals)) @ c
+            vals = (np.exp(np.outer(u, evals)) * c).sum(axis=1)
     else:
         vals = np.empty(n_samples, dtype=complex)
         for k, uk in enumerate(u):

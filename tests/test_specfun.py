@@ -7,6 +7,7 @@ E_a(-x) = int_0^oo K_a(r) exp(-r x^(1/a)) dr elsewhere).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fracdyn import (
     mittag_leffler,
     ml_partial_sum,
 )
-from fracdyn.specfun import m_wright_asymptotic
+from fracdyn.specfun import _ml_neg_auto, m_wright_asymptotic
 
 
 # ----------------------------------------------------------------------------
@@ -71,6 +72,20 @@ def test_ml_alpha_one_is_exp():
     z = np.linspace(-30.0, 5.0, 141)
     vals = np.array([mittag_leffler(1.0, zz) for zz in z])
     assert np.allclose(vals, np.exp(z), rtol=1e-12, atol=0.0)
+
+
+def test_ml_batch_alpha_one_is_exp_without_spectral_basis():
+    # Without the alpha = 1 shortcut the spectral basis has ~333k nodes and
+    # 400 points build a ~1 GB exponential matrix.
+    x = np.linspace(0.0, 30.0, 400)
+    tracemalloc.start()
+    try:
+        vals = _ml_neg_auto(1.0, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(vals, np.exp(-x))
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0])
@@ -252,6 +267,10 @@ def test_mw_alpha_one_raises():
 def test_mw_negative_argument_raises():
     with pytest.raises(DomainError):
         m_wright(0.5, -0.1)
+    with pytest.raises(DomainError):
+        m_wright(0.5, np.array([[0.1, 0.2], [-0.1, 0.3]]))
+    with pytest.raises(DomainError):
+        m_wright(0.5, np.array([0.1, np.inf]))
 
 
 def test_mw_asymptotic_half_is_exact_gaussian():

@@ -21,7 +21,12 @@ from fracdyn.lindblad import (
     semigroup_apply,
     vec,
 )
-from fracdyn.specfun import FractionalOrder, mittag_leffler
+from fracdyn.specfun import (
+    FractionalOrder,
+    _mw_series_batch,
+    m_wright,
+    mittag_leffler,
+)
 from fracdyn.subordination import (
     OperationalClock,
     QuadConfig,
@@ -89,6 +94,33 @@ class TestLevyDensity:
         c = OperationalClock(F(0.5), 1.0)
         with pytest.raises(DomainError):
             levy_density(c, -0.1)
+
+    # Upper end of z = u t^(-alpha): past the series/integral switch of
+    # M_alpha, below the point where the density underflows.
+    @pytest.mark.parametrize("alpha,z_max", [(0.3, 20.0), (0.5, 15.0),
+                                             (0.8, 5.0)])
+    def test_batch_matches_pointwise_m_wright(self, alpha, z_max):
+        t = 2.0
+        c = OperationalClock(F(alpha), t)
+        scale = t ** (-alpha)
+        # 301 nodes: two full batches of 128 and a short one.
+        u = np.linspace(0.0, z_max, 301) / scale
+        _, series = _mw_series_batch(alpha, u * scale)
+        assert series.any() and not series.all()
+        ref = np.array([scale * m_wright(alpha, x * scale) for x in u])
+        assert np.all(ref > 0.0)
+
+        f = levy_density(c, u)
+        assert f.shape == u.shape
+        np.testing.assert_allclose(f, ref, rtol=1e-14, atol=0.0)
+        f2 = levy_density(c, u.reshape(7, 43))
+        assert f2.shape == (7, 43)
+        np.testing.assert_allclose(f2.ravel(), ref, rtol=1e-14, atol=0.0)
+        for k in (0, 150, 300):
+            for point in (float(u[k]), np.array(u[k])):
+                got = levy_density(c, point)
+                assert isinstance(got, float)
+                assert got == pytest.approx(ref[k], rel=1e-14, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +301,29 @@ class TestTrajectoryEstimate:
             for seed in range(1, 9)
         ]
         assert min(means) <= want <= max(means)
+
+    @pytest.mark.parametrize("n_samples", [2, 4095, 4096, 4097, 10000])
+    def test_matches_block_seeded_reference(self, n_samples):
+        # Block b holds samples [4096 b, 4096 (b + 1)) and is one draw from
+        # SeedSequence([seed, b]); for this generator and observable
+        # tr[X e^(uL) rho_+] = exp(-2 gamma u).
+        gamma, alpha, t, seed = 0.5, 0.5, 1.0, 31
+        clock = OperationalClock(F(alpha), t)
+        blocks = []
+        for b, lo in enumerate(range(0, n_samples, 4096)):
+            rng = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([seed, b])))
+            blocks.append(sample_clock(clock, rng,
+                                       size=min(4096, n_samples - lo)))
+        vals = np.exp(-2.0 * gamma * np.concatenate(blocks))
+        assert vals.size == n_samples
+
+        est = trajectory_estimate(dephasing_qubit(0.0, gamma), alpha, t,
+                                  plus_state(), PAULI_X, n_samples, seed)
+        assert est.n_samples == n_samples and est.seed == seed
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-12)
+        assert est.stderr == pytest.approx(
+            vals.std(ddof=1) / math.sqrt(n_samples), rel=1e-9)
 
     def test_validation(self):
         gen = dephasing_qubit(0.0, 0.5)
