@@ -15,7 +15,7 @@ Two weight schemes are provided (:class:`WeightScheme`):
   with prefactor h^alpha/Gamma(alpha+2).  The corrector is applied in
   implicit form: the new-point weight multiplies the unknown state, so each
   step solves (I - pref*L) rho_{n+1} = rho_0 + pref * (history sum); the left
-  factor is decomposed once and reused across all steps.  At alpha = 1 this
+  factor is inverted once and reused across all steps.  At alpha = 1 this
   reduces exactly to the classical trapezoid (Adams-Moulton-2) rule.
 
 * ``PaperPrinted`` — predictor weights b_j = (j+1)^(1-alpha) - j^(1-alpha)
@@ -34,6 +34,11 @@ sum_q w_q e^(-xi_q tau) beyond, giving O(Q) work per step instead of O(n).
 
 :func:`ml_propagate` evaluates the exact solution rho(t) = E_alpha(t^alpha M)
 rho(0) through the eigendecomposition of the superoperator.
+
+One set of solver cores serves both modes: each integrates D^alpha u = M u
+for an m x m operator M, the d^2 x d^2 superoperator acting on vec(rho) in
+matrix mode and M = [[-lambda]] in scalar mode (m = 1).  Matrix-mode states
+are checked once, as one stack, after the core has run.
 """
 
 from __future__ import annotations
@@ -43,20 +48,22 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 from scipy.special import gamma as _sc_gamma
 
-from .errors import (
-    DomainError,
-    FracdynError,
-    NumericalInstabilityError,
-    ValidationError,
+from .errors import DomainError, NumericalInstabilityError, ValidationError
+from .kernels import SOEKernel, _coerce_enum
+from .lindblad import (
+    DensityMatrix,
+    GKSLGenerator,
+    _admit_states,
+    _density_defects,
+    build_superoperator,
+    unvec,
+    vec,
 )
-from .kernels import SOEKernel
-from .lindblad import DensityMatrix, GKSLGenerator, build_superoperator, unvec, vec
 from .specfun import FractionalOrder, _alpha_value, _mittag_leffler_any
 
 __all__ = [
@@ -85,17 +92,6 @@ class WeightScheme(enum.Enum):
     StandardDFF = "standard_dff"
 
 
-def _coerce_scheme(scheme: Union[WeightScheme, str]) -> WeightScheme:
-    if isinstance(scheme, WeightScheme):
-        return scheme
-    if isinstance(scheme, str):
-        key = scheme.strip().lower().replace("-", "_")
-        for member in WeightScheme:
-            if key in (member.name.lower(), member.value):
-                return member
-    raise ValidationError(f"unknown weight scheme: {scheme!r}")
-
-
 # ----------------------------------------------------------------------------
 # Weight sets
 # ----------------------------------------------------------------------------
@@ -104,7 +100,7 @@ def predictor_weights(
     scheme: Union[WeightScheme, str], alpha: _AlphaLike, n: int
 ) -> np.ndarray:
     """Predictor weights [b_0 ... b_n] for the requested scheme."""
-    scheme = _coerce_scheme(scheme)
+    scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     a = _alpha_value(alpha)
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -131,7 +127,7 @@ def corrector_weights(
     point t_0.  The associated prefactor is h^alpha/Gamma(alpha+2) for
     ``StandardDFF`` and h^alpha/Gamma(1+alpha) for ``PaperPrinted``.
     """
-    scheme = _coerce_scheme(scheme)
+    scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     a = _alpha_value(alpha)
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -262,11 +258,20 @@ class FracTrajectory:
 
 
 # ----------------------------------------------------------------------------
-# Scalar solver cores
+# Solver cores
 # ----------------------------------------------------------------------------
 
-# Steps composed into one affine map by the scalar SOE core.
+# Each core integrates D^alpha u = M u for an m x m operator M: the d^2 x d^2
+# superoperator in matrix mode, M = [[-lambda]] in scalar mode.  States and
+# right-hand sides g = M u are stored as rows of (N + 1, m) arrays.  Per-step
+# products use ndarray.dot, whose call overhead on these small operands is
+# well below that of the @ operator.
+
+# Steps composed into one affine map by the SOE core; fewer when the block's
+# rows, B (1 + (Q + 2) m) elements for m x m operators, would exceed
+# _SOE_ROWS_MAX (large d, where they grow like m^2).
 _SOE_BLOCK = 64
+_SOE_ROWS_MAX = 1 << 21
 # OpenBLAS hands complex dots longer than 10k elements to its thread pool;
 # one handoff per step costs far more than the dot itself (milliseconds on a
 # busy core), so long history sums are taken in shorter pieces.
@@ -274,89 +279,112 @@ _DOT_CHUNK = 8192
 
 
 def _history_dot(w, g):
-    """w @ g for 1-D complex arrays, in pieces of at most _DOT_CHUNK."""
-    if len(w) <= _DOT_CHUNK:
-        return w @ g
-    return sum(w[i: i + _DOT_CHUNK] @ g[i: i + _DOT_CHUNK]
-               for i in range(0, len(w), _DOT_CHUNK))
+    """w @ g for a 1-D w and an (n, m) history g.
+
+    Taken in pieces of at most _DOT_CHUNK elements of g.
+    """
+    rows = _DOT_CHUNK // g.shape[1]
+    if len(w) <= rows:
+        return w.dot(g)
+    return sum(w[i: i + rows].dot(g[i: i + rows])
+               for i in range(0, len(w), rows))
 
 
-def _dense_implicit_core(lam, u0, pref, vr, oldest, left_inv, n_steps):
-    # StandardDFF scalar: (1 + pref*lam) u_{n+1} = u0 + pref * history.
-    u = np.empty(n_steps + 1, dtype=np.complex128)
-    g = np.empty(n_steps + 1, dtype=np.complex128)
-    u[0] = u0
-    g[0] = -lam * u0
+def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
+    # StandardDFF: (I - pref M) u_{n+1} = u0 + pref * history.  The loop
+    # advances r_{n+1} = (I - pref M) u_{n+1} and g only; u is recovered from
+    # r in one product afterwards.
+    left_inv = np.linalg.inv(np.eye(len(u0)) - pref * M)
+    ml = M @ left_inv
+    r = np.empty((n_steps + 1, len(u0)), dtype=np.complex128)
+    g = np.empty_like(r)
+    g[0] = M @ u0
+    base = u0 + (pref * oldest)[:, None] * g[0]
     # vr[j] = v_{N-j}, so vr[N-n:N] weights g_1..g_n in one history dot.
-    vc = vr.astype(np.complex128)
+    vp = (pref * vr).astype(np.complex128)
     big_n = len(vr) - 1
     for n in range(n_steps):
-        acc = oldest[n] * g[0] + _history_dot(vc[big_n - n: big_n],
-                                             g[1: n + 1])
-        u[n + 1] = (u0 + pref * acc) * left_inv
-        g[n + 1] = -lam * u[n + 1]
-    return u
-
-
-def _dense_explicit_core(lam, u0, pref, vr, oldest, br, n_steps):
-    # PaperPrinted scalar: predict with b-weights, correct explicitly.
-    u = np.empty(n_steps + 1, dtype=np.complex128)
-    g = np.empty(n_steps + 1, dtype=np.complex128)
+        rn = base[n] + _history_dot(vp[big_n - n: big_n], g[1: n + 1])
+        r[n + 1] = rn
+        g[n + 1] = ml.dot(rn)
+    u = r @ left_inv.T
     u[0] = u0
-    g[0] = -lam * u0
-    vc = vr.astype(np.complex128)
-    bc = br.astype(np.complex128)
-    big_n = len(vr) - 1
-    for n in range(n_steps):
-        pacc = _history_dot(bc[big_n - n: big_n + 1], g[: n + 1])
-        g_pred = -lam * (u0 + pref * pacc)
-        acc = oldest[n] * g[0] + _history_dot(vc[big_n - n: big_n],
-                                             g[1: n + 1])
-        u[n + 1] = u0 + pref * (acc + g_pred)
-        g[n + 1] = -lam * u[n + 1]
     return u
 
 
-def _soe_core(lam, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1,
-              left_inv, n_steps):
+def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
+    # PaperPrinted: predict with b-weights, correct explicitly.
+    u = np.empty((n_steps + 1, len(u0)), dtype=np.complex128)
+    g = np.empty_like(u)
+    u[0] = u0
+    g[0] = M @ u0
+    base = u0 + (pref * oldest)[:, None] * g[0]
+    pm = pref * M
+    vp = (pref * vr).astype(np.complex128)
+    bp = (pref * br).astype(np.complex128)
+    big_n = len(vr) - 1
+    for n in range(n_steps):
+        pred = u0 + _history_dot(bp[big_n - n: big_n + 1], g[: n + 1])
+        un = (base[n] + _history_dot(vp[big_n - n: big_n], g[1: n + 1])
+              + pm.dot(pred))
+        u[n + 1] = un
+        g[n + 1] = M.dot(un)
+    return u
+
+
+def _soe_core(M, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, n_steps):
     # StandardDFF + SOE history: near field (lag <= 2h) exact, far field via
-    # Q exponential accumulators H_q, updated from step 1 on as
-    # H <- eh * (H + eh * (phi1 g_{n-1} + phi0 g_n)).
+    # Q exponential accumulators H_q (m-vectors), updated from step 1 on as
+    # H_q <- eh_q (H_q + eh_q (phi1_q g_{n-1} + phi0_q g_n)).
     #
-    # From step 1 on, u_{n+1} = s . x_n and x_{n+1} = A x_n for the state
-    # x_n = (1, g_n, g_{n-1}, H_1..H_Q), with one fixed affine map A.  A block
-    # of B steps is then u_{n+1..n+B} = S x_n with rows S_k = s A^(k-1), and
-    # the accumulators jump ahead in closed form,
-    # H_{n+B} = eh^B H_n + sum_j m_j g_{n-1+j}.  Products go through einsum
-    # rather than BLAS: these small mat-vecs would otherwise be handed to
-    # OpenBLAS's thread pool, which costs milliseconds per call on a busy core.
-    u = np.empty(n_steps + 1, dtype=np.complex128)
-    g = np.empty(n_steps + 1, dtype=np.complex128)
+    # From step 1 on, u_{n+1} = L (u0 + (pref alpha + a2) g_n + b2 g_{n-1}
+    # + sum_q w_q H_q) with L = (I - pref M)^(-1), and the state
+    # x_n = (1, g_n, g_{n-1}, H_1..H_Q) advances by one fixed affine map.  A
+    # block of B steps is then u_{n+k} = c_k + P_k g_n + R_k g_{n-1}
+    # + sum_q W_kq H_q, k = 1..B, where k = 1 reads off the step above and
+    #   c' = c + PML u0,
+    #   P' = (pref alpha + a2) PML + R + sum_q eh_q^2 phi0_q W_q,
+    #   R' = b2 PML + sum_q eh_q^2 phi1_q W_q,
+    #   W'_q = w_q PML + eh_q W_q,
+    # with PML = P M L.  The accumulators jump ahead in closed form,
+    # H_{n+B} = eh^B H_n + sum_j m_j g_{n-1+j}.  The block mat-vecs go
+    # through einsum rather than BLAS: OpenBLAS would hand them to its thread
+    # pool, which costs milliseconds per call on a busy core.
+    m = len(u0)
+    left_inv = np.linalg.inv(np.eye(m) - pref * M)
+    u = np.empty((n_steps + 1, m), dtype=np.complex128)
+    g = np.empty_like(u)
     u[0] = u0
-    g[0] = -lam * u0
-    u[1] = (u0 + pref * alpha_w * g[0]) * left_inv
-    g[1] = -lam * u[1]
+    g[0] = M @ u0
+    u[1] = left_inv.dot(u0 + pref * alpha_w * g[0])
+    g[1] = M.dot(u[1])
     if n_steps == 1:
         return u
     n_modes = len(w)
-    dim = n_modes + 3
-    s = np.empty(dim, dtype=np.complex128)
-    s[:3] = (u0, pref * alpha_w + a2, b2)
-    s[3:] = w
-    s *= left_inv
-    block = min(_SOE_BLOCK, n_steps - 1)
+    near = pref * alpha_w + a2
+    width = 1 + (2 + n_modes) * m
+    block = max(1, min(_SOE_BLOCK, n_steps - 1, _SOE_ROWS_MAX // (m * width)))
+    ml = M.dot(left_inv)
+    # rows[k] = [c, P, R, W] acts on x = (1, g_n, g_{n-1}, H.T.ravel()), with
+    # W[:, :, q] = W_q; the accumulators H (Q x m) live in x.
+    rows = np.empty((block, m, width), dtype=np.complex128)
+    c = left_inv.dot(u0)
+    P = near * left_inv
+    R = b2 * left_inv
+    W = left_inv[:, :, None] * w
     with np.errstate(under="ignore"):
-        amap = np.zeros((dim, dim), dtype=np.complex128)
-        amap[0, 0] = 1.0
-        amap[1] = -lam * s
-        amap[2, 1] = 1.0
-        amap[3:, 1] = eh * eh * phi0
-        amap[3:, 2] = eh * eh * phi1
-        amap[3:, 3:] = np.diag(eh)
-        rows = np.empty((block, dim), dtype=np.complex128)
-        rows[0] = s
-        for k in range(1, block):
-            rows[k] = np.einsum("j,jk->k", rows[k - 1], amap)
+        eh2_phi0 = eh * eh * phi0
+        eh2_phi1 = eh * eh * phi1
+        for k in range(block):
+            rows[k, :, 0] = c
+            rows[k, :, 1: 1 + m] = P
+            rows[k, :, 1 + m: 1 + 2 * m] = R
+            rows[k, :, 1 + 2 * m:] = W.reshape(m, m * n_modes)
+            pml = P.dot(ml)
+            c, P, R, W = (c + pml.dot(u0),
+                          near * pml + R + W.dot(eh2_phi0),
+                          b2 * pml + W.dot(eh2_phi1),
+                          pml[:, :, None] * w + eh * W)
         # m_j weights g_{n-1+j}: phi1 eh^(B+1-j) for j < B, phi0 eh^(B+2-j)
         # for j >= 1.
         powers = eh[:, None] ** np.arange(block + 1, 1, -1)
@@ -364,18 +392,18 @@ def _soe_core(lam, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1,
     mix = np.zeros((n_modes, block + 1))
     mix[:, :block] = phi1[:, None] * powers
     mix[:, 1:] += phi0[:, None] * powers
-    H = np.zeros(n_modes, dtype=np.complex128)
-    x = np.empty(dim, dtype=np.complex128)
+    x = np.zeros(width, dtype=np.complex128)
     x[0] = 1.0
+    hist = x[1 + 2 * m:].reshape(m, n_modes)  # H.T, updated in place
     for n in range(1, n_steps, block):
         stop = min(n + block, n_steps)
-        x[1] = g[n]
-        x[2] = g[n - 1]
-        x[3:] = H
-        u[n + 1: stop + 1] = np.einsum("ij,j->i", rows[: stop - n], x)
-        g[n + 1: stop + 1] = -lam * u[n + 1: stop + 1]
+        x[1: 1 + m] = g[n]
+        x[1 + m: 1 + 2 * m] = g[n - 1]
+        u[n + 1: stop + 1] = np.einsum("kij,j->ki", rows[: stop - n], x)
+        g[n + 1: stop + 1] = u[n + 1: stop + 1].dot(M.T)
         if stop < n_steps:
-            H = decay * H + np.einsum("qj,j->q", mix, g[n - 1: stop])
+            hist[:] = decay * hist + np.einsum("qj,ji->iq", mix,
+                                               g[n - 1: stop])
     return u
 
 
@@ -420,70 +448,58 @@ def _validate_solve_args(alpha, h, n_steps, max_horizon):
     return a, h, n_steps
 
 
-def _scalar_rate(gen) -> Optional[complex]:
-    if isinstance(gen, GKSLGenerator):
-        return None
-    lam = complex(gen)
-    if not (lam.real > 0.0) or not math.isfinite(abs(lam)):
-        raise DomainError("scalar rate lambda must have positive real part")
-    return lam
+def _flow_operator(gen, init) -> Tuple[np.ndarray, np.ndarray]:
+    """(M, u0) for D^alpha u = M u from ``init``.
+
+    Matrix mode: the superoperator and vec(init).  Scalar mode (a rate
+    lambda for ``gen``): M = [[-lambda]] and u0 = [init].
+    """
+    if not isinstance(gen, GKSLGenerator):
+        lam = complex(gen)
+        if not (lam.real > 0.0) or not math.isfinite(abs(lam)):
+            raise DomainError(
+                "scalar rate lambda must have positive real part")
+        return np.array([[-lam]]), np.array([complex(init)])
+    if not isinstance(init, DensityMatrix):
+        raise ValidationError(
+            "matrix mode requires a DensityMatrix initial state")
+    if init.dim != gen.dim:
+        raise ValidationError("initial state and generator dimensions differ")
+    return build_superoperator(gen).matrix, vec(init.entries)
 
 
-def _wrap_matrix_states(
-    raw: np.ndarray, dim: int, alpha: FractionalOrder, h: float,
-    scheme: WeightScheme, init: DensityMatrix
+def _trajectory(
+    u: np.ndarray, alpha: FractionalOrder, h: float, scheme: WeightScheme,
+    init: Union[DensityMatrix, float, complex]
 ) -> FracTrajectory:
-    """Validate per-step defects and assemble DensityMatrix states."""
-    states: List[DensityMatrix] = [init]
-    for n in range(1, raw.shape[0]):
-        m = unvec(raw[n], dim)
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        trace = float(abs(np.trace(m) - 1.0))
-        sym = 0.5 * (m + m.conj().T)
-        min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-        worst = max(herm, trace, -min_eig)
-        if worst > _STATE_FAIL_TOL:
-            raise NumericalInstabilityError(
-                f"state invariant defect {worst:g} at step {n} "
-                f"(t = {n * h:g}) exceeds {_STATE_FAIL_TOL:g}"
-            )
-        if worst > _STATE_WARN_TOL:
-            warnings.warn(
-                f"state defect {worst:g} at step {n} above {_STATE_WARN_TOL:g}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        states.append(
-            DensityMatrix(sym, herm_tol=2 * _STATE_FAIL_TOL,
-                          trace_tol=2 * _STATE_FAIL_TOL,
-                          psd_tol=2 * _STATE_FAIL_TOL)
+    """Assemble a trajectory from the core's (N + 1, m) states.
+
+    Matrix mode checks all states 1..N at once: it raises at the first step
+    whose defect exceeds _STATE_FAIL_TOL and warns once if any exceeds
+    _STATE_WARN_TOL.
+    """
+    if not isinstance(init, DensityMatrix):
+        return FracTrajectory(alpha, h, scheme, u[:, 0])
+    stack = u[1:].reshape(-1, init.dim, init.dim)
+    worst = np.max(_density_defects(stack), axis=0)
+    failed = np.flatnonzero(worst > _STATE_FAIL_TOL)
+    if failed.size:
+        n = int(failed[0]) + 1
+        raise NumericalInstabilityError(
+            f"state invariant defect {worst[n - 1]:g} at step {n} "
+            f"(t = {n * h:g}) exceeds {_STATE_FAIL_TOL:g}"
         )
-    return FracTrajectory(alpha, h, scheme, tuple(states))
-
-
-def _matrix_dense_loop(M, rho0_vec, pref, vr, oldest, n_steps, implicit,
-                       pref_p=None, br=None):
-    d2 = M.shape[0]
-    u = np.empty((n_steps + 1, d2), dtype=np.complex128)
-    g = np.empty((n_steps + 1, d2), dtype=np.complex128)
-    u[0] = rho0_vec
-    g[0] = M @ rho0_vec
-    big_n = len(vr) - 1
-    if implicit:
-        lu = lu_factor(np.eye(d2) - pref * M)
-    for n in range(n_steps):
-        acc = oldest[n] * g[0]
-        if n >= 1:
-            acc = acc + vr[big_n - n: big_n] @ g[1: n + 1]
-        if implicit:
-            rhs = rho0_vec + pref * acc
-            u[n + 1] = lu_solve(lu, rhs)
-        else:
-            pacc = br[big_n - n: big_n + 1] @ g[0: n + 1]
-            g_pred = M @ (rho0_vec + pref_p * pacc)
-            u[n + 1] = rho0_vec + pref * (acc + g_pred)
-        g[n + 1] = M @ u[n + 1]
-    return u
+    warned = np.flatnonzero(worst > _STATE_WARN_TOL)
+    if warned.size:
+        n = int(warned[0]) + 1
+        warnings.warn(
+            f"state defect {worst[n - 1]:g} at step {n} above "
+            f"{_STATE_WARN_TOL:g} ({warned.size} steps above it)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    states = _admit_states(stack, 2 * _STATE_FAIL_TOL)
+    return FracTrajectory(alpha, h, scheme, (init,) + states)
 
 
 def fam_solve(
@@ -501,48 +517,23 @@ def fam_solve(
     positive scalar rate lambda (scalar mode, L -> multiplication by -lambda).
     Returns the trajectory at t_n = n h for n = 0..N.
     """
-    scheme = _coerce_scheme(scheme)
+    scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     a, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
     order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(a)
+    M, u0 = _flow_operator(gen, init)
 
     if scheme is WeightScheme.StandardDFF:
-        vr_src, oldest = _interior_weights_standard(a, n_steps)
+        v, oldest = _interior_weights_standard(a, n_steps)
         pref = h**a / _sc_gamma(a + 2.0)
+        # vr[j] = v_{n_steps - j}: a contiguous copy for the history dot.
+        u = _dense_implicit_core(M, u0, pref, v[::-1].copy(), oldest, n_steps)
     else:
-        vr_src, oldest = _interior_weights_paper(a, n_steps)
+        v, oldest = _interior_weights_paper(a, n_steps)
         pref = h**a / _sc_gamma(1.0 + a)
-    # vr[j] = v_{n_steps - j}: contiguous reversed view for the history dot.
-    vr = vr_src[::-1].copy()
-
-    lam = _scalar_rate(gen)
-    if lam is not None:
-        u0 = complex(init)
-        if scheme is WeightScheme.StandardDFF:
-            left = 1.0 + pref * lam
-            if left == 0.0:
-                raise FracdynError("internal error: singular left factor")
-            u = _dense_implicit_core(lam, u0, pref, vr, oldest,
-                                     1.0 / left, n_steps)
-        else:
-            b = predictor_weights(scheme, a, n_steps)
-            br = b[::-1].copy()
-            u = _dense_explicit_core(lam, u0, pref, vr, oldest, br, n_steps)
-        return FracTrajectory(order, h, scheme, u)
-
-    if not isinstance(init, DensityMatrix):
-        raise ValidationError("matrix mode requires a DensityMatrix initial state")
-    if init.dim != gen.dim:
-        raise ValidationError("initial state and generator dimensions differ")
-    M = build_superoperator(gen).matrix
-    if scheme is WeightScheme.StandardDFF:
-        raw = _matrix_dense_loop(M, vec(init.entries), pref, vr, oldest,
-                                 n_steps, implicit=True)
-    else:
         b = predictor_weights(scheme, a, n_steps)
-        raw = _matrix_dense_loop(M, vec(init.entries), pref, vr, oldest,
-                                 n_steps, implicit=False,
-                                 pref_p=pref, br=b[::-1].copy())
-    return _wrap_matrix_states(raw, gen.dim, order, h, scheme, init)
+        u = _dense_explicit_core(M, u0, pref, v[::-1].copy(), oldest,
+                                 b[::-1].copy(), n_steps)
+    return _trajectory(u, order, h, scheme, init)
 
 
 def fam_solve_soe(
@@ -561,7 +552,7 @@ def fam_solve_soe(
     the piecewise-linear product integral that underlies those weights) and a
     :class:`~fracdyn.kernels.SOEKernel` valid on [h, N h] at matching alpha.
     """
-    scheme = _coerce_scheme(scheme)
+    scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     if scheme is not WeightScheme.StandardDFF:
         raise ValidationError("fam_solve_soe supports the StandardDFF scheme only")
     a, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
@@ -575,6 +566,7 @@ def fam_solve_soe(
             f"SOE kernel valid on [{t_lo:g}, {t_hi:g}] does not cover "
             f"[{h:g}, {h * n_steps:g}]"
         )
+    M, u0 = _flow_operator(gen, init)
 
     w, xi = soe.weights_rates()
     with np.errstate(under="ignore"):
@@ -593,40 +585,8 @@ def fam_solve_soe(
         b2 = ha_g * ((2.0 ** (a + 1.0) - 1.0) / (a + 1.0)
                      - (2.0**a - 1.0) / a)
 
-    lam = _scalar_rate(gen)
-    if lam is not None:
-        u0 = complex(init)
-        left = 1.0 + pref * lam
-        if left == 0.0:
-            raise FracdynError("internal error: singular left factor")
-        u = _soe_core(lam, u0, pref, a, a2, b2, w, eh, phi0, phi1,
-                      1.0 / left, n_steps)
-        return FracTrajectory(order, h, scheme, u)
-
-    if not isinstance(init, DensityMatrix):
-        raise ValidationError("matrix mode requires a DensityMatrix initial state")
-    if init.dim != gen.dim:
-        raise ValidationError("initial state and generator dimensions differ")
-    M = build_superoperator(gen).matrix
-    d2 = M.shape[0]
-    rho0 = vec(init.entries)
-    u = np.empty((n_steps + 1, d2), dtype=np.complex128)
-    g = np.empty((n_steps + 1, d2), dtype=np.complex128)
-    u[0] = rho0
-    g[0] = M @ rho0
-    H = np.zeros((len(w), d2), dtype=np.complex128)
-    lu = lu_factor(np.eye(d2) - pref * M)
-    for n in range(n_steps):
-        rhs = rho0 + (pref * a) * g[n] + w @ H
-        if n >= 1:
-            rhs = rhs + a2 * g[n] + b2 * g[n - 1]
-        u[n + 1] = lu_solve(lu, rhs)
-        g[n + 1] = M @ u[n + 1]
-        if n >= 1:
-            H = eh[:, None] * (H + eh[:, None]
-                               * np.outer(phi1, g[n - 1])
-                               + eh[:, None] * np.outer(phi0, g[n]))
-    return _wrap_matrix_states(u, gen.dim, order, h, scheme, init)
+    u = _soe_core(M, u0, pref, a, a2, b2, w, eh, phi0, phi1, n_steps)
+    return _trajectory(u, order, h, scheme, init)
 
 
 def ml_propagate(
@@ -645,14 +605,10 @@ def ml_propagate(
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError("time t must be finite and >= 0")
-    if not isinstance(init, DensityMatrix):
-        raise ValidationError("init must be a DensityMatrix")
-    if init.dim != gen.dim:
-        raise ValidationError("initial state and generator dimensions differ")
+    M, rho0 = _flow_operator(gen, init)
     if t == 0.0:
         return init
 
-    M = build_superoperator(gen).matrix
     evals, V = np.linalg.eig(M)
     cond = float(np.linalg.cond(V))
     if not math.isfinite(cond) or cond >= 1e8:
@@ -660,24 +616,14 @@ def ml_propagate(
             f"superoperator eigenbasis condition number {cond:.3g} >= 1e8; "
             "use fam_solve instead"
         )
-    coeffs = np.linalg.solve(V, vec(init.entries))
+    coeffs = np.linalg.solve(V, rho0)
     factors = np.array(
         [_mittag_leffler_any(a, z) for z in evals * t**a], dtype=complex
     )
     out = unvec(V @ (factors * coeffs), gen.dim)
-    herm, trace, neg = (
-        float(np.max(np.abs(out - out.conj().T))),
-        float(abs(np.trace(out) - 1.0)),
-        max(0.0, -float(np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().T))))),
-    )
-    worst = max(herm, trace, neg)
+    worst = float(max(_density_defects(out)))
     if worst > _STATE_FAIL_TOL:
         raise NumericalInstabilityError(
             f"spectral propagation defect {worst:g} exceeds {_STATE_FAIL_TOL:g}"
         )
-    return DensityMatrix(
-        0.5 * (out + out.conj().T),
-        herm_tol=2 * _STATE_FAIL_TOL,
-        trace_tol=2 * _STATE_FAIL_TOL,
-        psd_tol=2 * _STATE_FAIL_TOL,
-    )
+    return _admit_states(out[None], 2 * _STATE_FAIL_TOL)[0]

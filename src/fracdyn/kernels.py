@@ -56,15 +56,18 @@ class KernelKind(enum.Enum):
     DifferentialConvolution = "differential_convolution"
 
 
-def _coerce_kind(kind: Union[KernelKind, str]) -> KernelKind:
-    if isinstance(kind, KernelKind):
-        return kind
-    if isinstance(kind, str):
-        key = kind.strip().lower().replace("-", "_")
-        for member in KernelKind:
+def _coerce_enum(cls, value, what: str):
+    """The member of enum ``cls`` named by ``value`` (a member, or its name or
+    value in any case, with '-' for '_'); ValidationError "unknown <what>"
+    otherwise."""
+    if isinstance(value, cls):
+        return value
+    if isinstance(value, str):
+        key = value.strip().lower().replace("-", "_")
+        for member in cls:
             if key in (member.name.lower(), member.value):
                 return member
-    raise ValidationError(f"unknown kernel kind: {kind!r}")
+    raise ValidationError(f"unknown {what}: {value!r}")
 
 
 def kernel_eval(
@@ -78,7 +81,7 @@ def kernel_eval(
     kernels are singular at the origin, so ``t <= 0`` raises
     :class:`~fracdyn.errors.DomainError`.
     """
-    kind = _coerce_kind(kind)
+    kind = _coerce_enum(KernelKind, kind, "kernel kind")
     a = _alpha_value(alpha)
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size == 0:
@@ -293,7 +296,7 @@ def complete_monotonicity_probe(
     kernel for alpha < 1).
     """
     a = _alpha_value(alpha)
-    kind = _coerce_kind(kind)
+    kind = _coerce_enum(KernelKind, kind, "kernel kind")
     pts = np.asarray(list(grid) if not isinstance(grid, np.ndarray) else grid,
                      dtype=float)
     if not isinstance(order, (int, np.integer)) or order < 0 or order > 6:

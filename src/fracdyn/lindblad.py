@@ -84,13 +84,26 @@ def _as_square_complex(m, name: str) -> np.ndarray:
     return arr
 
 
-def _density_defects(entries: np.ndarray) -> Tuple[float, float, float]:
-    """Return (hermiticity defect, trace defect, negative-eigenvalue defect)."""
-    herm = float(np.max(np.abs(entries - entries.conj().T)))
-    trace = float(abs(np.trace(entries) - 1.0))
-    sym = 0.5 * (entries + entries.conj().T)
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    return herm, trace, max(0.0, -min_eig)
+def _density_defects(
+    entries: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermiticity, trace and negative-eigenvalue defects of a stack.
+
+    ``entries`` has shape (..., d, d); each defect is an array over the
+    leading axes (0-d for one matrix).  A matrix with a non-finite entry has
+    all three defects inf.
+    """
+    finite = np.all(np.isfinite(entries), axis=(-2, -1))
+    if not np.all(finite):
+        # eigvalsh rejects non-finite input: check a zero stand-in instead.
+        stand_in = np.where(finite[..., None, None], entries, 0.0)
+        return tuple(np.where(finite, x, np.inf)
+                     for x in _density_defects(stand_in))
+    adj = np.conj(np.swapaxes(entries, -1, -2))
+    herm = np.max(np.abs(entries - adj), axis=(-2, -1))
+    trace = np.abs(np.trace(entries, axis1=-2, axis2=-1) - 1.0)
+    neg = np.maximum(0.0, -np.linalg.eigvalsh(0.5 * (entries + adj))[..., 0])
+    return herm, trace, neg
 
 
 @dataclass(frozen=True)
@@ -104,7 +117,7 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.entries, "density matrix")
-        herm, trace, neg = _density_defects(arr)
+        herm, trace, neg = (float(x) for x in _density_defects(arr))
         if herm > self.herm_tol:
             raise ValidationError(f"density matrix not Hermitian (defect {herm:g})")
         if trace > self.trace_tol:
@@ -125,6 +138,24 @@ class DensityMatrix:
     def eigenvalues(self) -> np.ndarray:
         sym = 0.5 * (self.entries + self.entries.conj().T)
         return np.linalg.eigvalsh(sym)
+
+
+def _admit_states(stack: np.ndarray, tol: float) -> Tuple[DensityMatrix, ...]:
+    """States holding the Hermitian parts of a stack (k, d, d).
+
+    For matrices whose defects the caller has already bounded with
+    :func:`_density_defects`: the states are not checked again, and each
+    records ``tol`` as all three tolerances.
+    """
+    sym = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+    sym.setflags(write=False)
+    states = []
+    for entries in sym:
+        state = object.__new__(DensityMatrix)
+        vars(state).update(entries=entries, herm_tol=tol, trace_tol=tol,
+                           psd_tol=tol)
+        states.append(state)
+    return tuple(states)
 
 
 def plus_state() -> DensityMatrix:
@@ -236,8 +267,7 @@ def semigroup_apply(
         return rho
     phi = _expm(u * superop.matrix)
     out = unvec(phi @ vec(rho.entries), superop.dim)
-    herm, trace, neg = _density_defects(out)
-    worst = max(herm, trace, neg)
+    worst = float(max(_density_defects(out)))
     if worst > _FLOW_FAIL_TOL:
         raise NumericalInstabilityError(
             f"propagated state defect {worst:g} exceeds {_FLOW_FAIL_TOL:g}"
@@ -249,13 +279,7 @@ def semigroup_apply(
             stacklevel=2,
         )
     # Re-admit with flow tolerances; roundoff accumulates along the flow.
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(
-        out,
-        herm_tol=10.0 * _FLOW_FAIL_TOL,
-        trace_tol=10.0 * _FLOW_FAIL_TOL,
-        psd_tol=10.0 * _FLOW_FAIL_TOL,
-    )
+    return _admit_states(out[None], 10.0 * _FLOW_FAIL_TOL)[0]
 
 
 def cptp_diagnostics(

@@ -20,8 +20,21 @@ from typing import Optional, Union
 import numpy as np
 from scipy.linalg import expm as _expm
 
-from .errors import AccuracyError, DomainError, ValidationError
-from .lindblad import DensityMatrix, GKSLGenerator, build_superoperator, unvec, vec
+from .errors import (
+    AccuracyError,
+    DomainError,
+    NumericalInstabilityError,
+    ValidationError,
+)
+from .lindblad import (
+    DensityMatrix,
+    GKSLGenerator,
+    _admit_states,
+    _density_defects,
+    build_superoperator,
+    unvec,
+    vec,
+)
 from .specfun import (
     FractionalOrder,
     _alpha_value,
@@ -45,6 +58,8 @@ _AlphaLike = Union[float, FractionalOrder]
 
 # Monte-Carlo samples per seeded block in trajectory_estimate.
 _MC_BLOCK = 4096
+# Largest invariant defect of a subordinated state.
+_STATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -255,8 +270,12 @@ def subordinated_propagate(
         return semigroup_apply(build_superoperator(gen), t, init)
     phi = _subordinated_matrix(gen, a, t, quad)
     out = unvec(phi @ vec(init.entries), gen.dim)
-    sym = 0.5 * (out + out.conj().T)
-    return DensityMatrix(sym, herm_tol=1e-8, trace_tol=1e-8, psd_tol=1e-8)
+    worst = float(max(_density_defects(out)))
+    if worst > _STATE_TOL:
+        raise NumericalInstabilityError(
+            f"subordinated state defect {worst:g} exceeds {_STATE_TOL:g}"
+        )
+    return _admit_states(out[None], _STATE_TOL)[0]
 
 
 def trajectory_estimate(

@@ -7,6 +7,7 @@ statistically against the deterministic quadrature column.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,9 @@ from fracdyn.cli import main
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 RTOL, ATOL = 1e-9, 1e-12
 MC_SIGMAS = 5.0
+# Dense and SOE histories agree to ~1e-9 on the demo trajectory (SOE
+# tolerance 1e-8).
+SOE_DENSE_ATOL = 1e-8
 
 
 def read_columns(path):
@@ -23,8 +27,28 @@ def read_columns(path):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))
     header, body = rows[0], rows[1:]
-    return {name: np.array([float(row[i]) for row in body])
+    return {name: np.array([float(row[i] or "nan") for row in body])
             for i, name in enumerate(header)}
+
+
+def run_demo(tmp_path, stem, **changes):
+    """Run a demo config, with top-level keys replaced by ``changes``,
+    through the CLI; the artifact's columns."""
+    config = json.loads((DEMOS / "configs" / f"{stem}.json").read_text())
+    config.update(changes)
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / f"{stem}.csv"
+    assert main([config["command"], "--config", str(path),
+                 "--out", str(out)]) == 0
+    return read_columns(out)
+
+
+def assert_columns_close(got, want, **tolerances):
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], err_msg=name,
+                                   **tolerances)
 
 
 def test_subordinate_mc_matches_committed_output(tmp_path):
@@ -42,9 +66,28 @@ def test_subordinate_mc_matches_committed_output(tmp_path):
     dev = np.abs(got["mc_mean"] - got["obs_quad"])
     assert np.all(dev <= MC_SIGMAS * got["mc_stderr"]), dev / got["mc_stderr"]
 
-    got_div = read_columns(tmp_path / "subordinate_mc_divisibility.csv")
-    want_div = read_columns(DEMOS / "output" / "subordinate_mc_divisibility.csv")
-    assert got_div.keys() == want_div.keys()
-    for name in want_div:
-        np.testing.assert_allclose(got_div[name], want_div[name], rtol=RTOL,
-                                   atol=ATOL, err_msg=name)
+    assert_columns_close(
+        read_columns(tmp_path / "subordinate_mc_divisibility.csv"),
+        read_columns(DEMOS / "output" / "subordinate_mc_divisibility.csv"),
+        rtol=RTOL, atol=ATOL)
+
+
+def test_solver_convergence_matches_committed_output(tmp_path):
+    assert_columns_close(
+        run_demo(tmp_path, "solver_convergence"),
+        read_columns(DEMOS / "output" / "solver_convergence.csv"),
+        rtol=RTOL, atol=ATOL)
+
+
+def test_solver_soe_trajectory_matches_committed_output(tmp_path):
+    assert_columns_close(
+        run_demo(tmp_path, "solver_soe_trajectory"),
+        read_columns(DEMOS / "output" / "solver_soe_trajectory.csv"),
+        rtol=RTOL, atol=ATOL)
+
+
+def test_dense_trajectory_matches_committed_soe_output(tmp_path):
+    assert_columns_close(
+        run_demo(tmp_path, "solver_soe_trajectory", history="dense"),
+        read_columns(DEMOS / "output" / "solver_soe_trajectory.csv"),
+        rtol=0.0, atol=SOE_DENSE_ATOL)

@@ -38,59 +38,108 @@ from fracdyn.specfun import _mittag_leffler_any, mittag_leffler
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-# Element-by-element reference loops for the scalar cores, which sum in
-# another order; results must agree to rounding.
+# Element-by-element reference loops for the solver cores, with the cores'
+# (M, u0, ...) signatures.  They solve each step's linear system afresh and
+# sum in another order; results must agree to rounding.
 
-def _loop_dense_implicit(lam, u0, pref, vr, oldest, left_inv, n_steps):
-    u = np.empty(n_steps + 1, dtype=complex)
-    g = np.empty(n_steps + 1, dtype=complex)
-    u[0], g[0] = u0, -lam * u0
+def _loop_dense_implicit(M, u0, pref, vr, oldest, n_steps):
+    left = np.eye(len(u0)) - pref * M
+    u = np.empty((n_steps + 1, len(u0)), dtype=complex)
+    g = np.empty_like(u)
+    u[0], g[0] = u0, M @ u0
     big_n = len(vr) - 1
     for n in range(n_steps):
         acc = oldest[n] * g[0]
         for m in range(n):
-            acc += vr[big_n - n + m] * g[1 + m]
-        u[n + 1] = (u0 + pref * acc) * left_inv
-        g[n + 1] = -lam * u[n + 1]
+            acc = acc + vr[big_n - n + m] * g[1 + m]
+        u[n + 1] = np.linalg.solve(left, u0 + pref * acc)
+        g[n + 1] = M @ u[n + 1]
     return u
 
 
-def _loop_dense_explicit(lam, u0, pref, vr, oldest, br, n_steps):
-    u = np.empty(n_steps + 1, dtype=complex)
-    g = np.empty(n_steps + 1, dtype=complex)
-    u[0], g[0] = u0, -lam * u0
+def _loop_dense_explicit(M, u0, pref, vr, oldest, br, n_steps):
+    u = np.empty((n_steps + 1, len(u0)), dtype=complex)
+    g = np.empty_like(u)
+    u[0], g[0] = u0, M @ u0
     big_n = len(vr) - 1
     for n in range(n_steps):
-        pacc = 0j
+        pacc = np.zeros(len(u0), dtype=complex)
         for m in range(n + 1):
-            pacc += br[big_n - n + m] * g[m]
-        g_pred = -lam * (u0 + pref * pacc)
+            pacc = pacc + br[big_n - n + m] * g[m]
+        g_pred = M @ (u0 + pref * pacc)
         acc = oldest[n] * g[0]
         for m in range(n):
-            acc += vr[big_n - n + m] * g[1 + m]
+            acc = acc + vr[big_n - n + m] * g[1 + m]
         u[n + 1] = u0 + pref * (acc + g_pred)
-        g[n + 1] = -lam * u[n + 1]
+        g[n + 1] = M @ u[n + 1]
     return u
 
 
-def _loop_soe(lam, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, left_inv,
-              n_steps):
-    u = np.empty(n_steps + 1, dtype=complex)
-    g = np.empty(n_steps + 1, dtype=complex)
-    u[0], g[0] = u0, -lam * u0
-    H = np.zeros(len(w), dtype=complex)
+def _loop_soe(M, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, n_steps):
+    left = np.eye(len(u0)) - pref * M
+    u = np.empty((n_steps + 1, len(u0)), dtype=complex)
+    g = np.empty_like(u)
+    u[0], g[0] = u0, M @ u0
+    H = np.zeros((len(w), len(u0)), dtype=complex)
     for n in range(n_steps):
-        rhs = u0 + pref * alpha_w * g[n] + sum(w[q] * H[q]
-                                               for q in range(len(w)))
+        rhs = u0 + pref * alpha_w * g[n]
+        for q in range(len(w)):
+            rhs = rhs + w[q] * H[q]
         if n >= 1:
-            rhs += a2 * g[n] + b2 * g[n - 1]
-        u[n + 1] = rhs * left_inv
-        g[n + 1] = -lam * u[n + 1]
+            rhs = rhs + a2 * g[n] + b2 * g[n - 1]
+        u[n + 1] = np.linalg.solve(left, rhs)
+        g[n + 1] = M @ u[n + 1]
         if n >= 1:
             for q in range(len(w)):
                 H[q] = eh[q] * (H[q] + eh[q] * (phi1[q] * g[n - 1]
                                                 + phi0[q] * g[n]))
     return u
+
+
+def _fast_and_reference(monkeypatch, solve):
+    """The raw core states of ``solve()``, run with the cores and then with
+    the reference loops.
+
+    Trajectory assembly is bypassed, so steps that the inconsistent
+    PaperPrinted scheme takes outside the state tolerances are compared too.
+    """
+    monkeypatch.setattr(fracsolve, "_trajectory", lambda u, *args: u)
+    fast = solve()
+    monkeypatch.setattr(fracsolve, "_dense_implicit_core",
+                        _loop_dense_implicit)
+    monkeypatch.setattr(fracsolve, "_dense_explicit_core",
+                        _loop_dense_explicit)
+    monkeypatch.setattr(fracsolve, "_soe_core", _loop_soe)
+    return fast, solve()
+
+
+def _pure(psi):
+    psi = np.asarray(psi, dtype=complex) / np.linalg.norm(psi)
+    return DensityMatrix(np.outer(psi, psi.conj()))
+
+
+# Matrix flows with a Hamiltonian and a non-normal sigma_- (ladder) jump, so
+# the superoperator is non-diagonal: (generator, initial state).
+MATRIX_FLOWS = {
+    "d2": (GKSLGenerator(0.7 * PAULI_X + 0.3 * PAULI_Z,
+                         ((SIGMA_MINUS, 0.6), (PAULI_Z, 0.2))),
+           plus_state()),
+    "d3": (GKSLGenerator(np.array([[0.0, 0.4, 0.1j],
+                                   [0.4, 0.5, 0.3],
+                                   [-0.1j, 0.3, 1.0]]),
+                         ((np.diag([1.0, math.sqrt(2.0)], 1), 0.3),)),
+           _pure([1.0, 1.0j, 1.0])),
+}
+
+
+def _reference_defect(v):
+    """Largest invariant defect of one vectorized state, checked on its own."""
+    d = math.isqrt(len(v))
+    m = v.reshape(d, d)
+    herm = np.max(np.abs(m - m.conj().T))
+    trace = abs(np.trace(m) - 1.0)
+    neg = -np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+    return max(herm, trace, neg)
 
 
 def _assert_rounding_close(got, want):
@@ -235,13 +284,9 @@ class TestScalarSolve:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 65, 130])
     def test_core_matches_loop_reference(self, monkeypatch, scheme, alpha, n):
-        fast = fam_solve(1.0 - 0.8j, alpha, 0.01, n, 0.5, scheme)
-        monkeypatch.setattr(fracsolve, "_dense_implicit_core",
-                            _loop_dense_implicit)
-        monkeypatch.setattr(fracsolve, "_dense_explicit_core",
-                            _loop_dense_explicit)
-        ref = fam_solve(1.0 - 0.8j, alpha, 0.01, n, 0.5, scheme)
-        _assert_rounding_close(fast.states, ref.states)
+        _assert_rounding_close(*_fast_and_reference(
+            monkeypatch,
+            lambda: fam_solve(1.0 - 0.8j, alpha, 0.01, n, 0.5, scheme)))
 
     def test_trajectory_metadata(self):
         tr = fam_solve(1.0, 0.5, 0.1, 10, 1.0)
@@ -299,10 +344,58 @@ class TestMatrixSolve:
         for s in tr.states:
             assert s.entries[0, 0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_instability_error_names_step(self):
-        gen = dephasing_qubit(0.0, 5.0)
-        with pytest.raises(NumericalInstabilityError, match="step"):
-            fam_solve(gen, 0.5, 2.0, 40, plus_state(), "paper_printed")
+    def test_instability_error_names_step(self, monkeypatch):
+        # The error names the first step that fails a per-step check.
+        core = fracsolve._dense_explicit_core
+        raw = []
+        monkeypatch.setattr(fracsolve, "_dense_explicit_core",
+                            lambda *args: raw.append(core(*args)) or raw[-1])
+        for gen, alpha, h in ((dephasing_qubit(0.0, 5.0), 0.5, 2.0),
+                              (MATRIX_FLOWS["d2"][0], 0.3, 0.003)):
+            with pytest.raises(NumericalInstabilityError) as err:
+                fam_solve(gen, alpha, h, 40, plus_state(), "paper_printed")
+            first = next(n for n in range(1, 41)
+                         if _reference_defect(raw[-1][n]) > 1e-5)
+            assert f"at step {first} (t = {first * h:g})" in str(err.value)
+        assert first == 32
+
+    def test_defects_above_warn_tolerance_warn_once(self, monkeypatch):
+        core = fracsolve._dense_implicit_core
+
+        def skewed(*args):
+            u = core(*args)
+            u[[3, 5], 1] += 3e-6  # rho_01 only: a Hermiticity defect
+            return u
+
+        monkeypatch.setattr(fracsolve, "_dense_implicit_core", skewed)
+        with pytest.warns(RuntimeWarning) as record:
+            tr = fam_solve(dephasing_qubit(0.0, 0.5), 0.5, 0.05, 20,
+                           plus_state())
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "at step 3 " in message and "(2 steps above it)" in message
+        assert tr.n_steps == 20
+
+    @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 65, 130])
+    @pytest.mark.parametrize("flow", sorted(MATRIX_FLOWS))
+    def test_core_matches_loop_reference(self, monkeypatch, flow, scheme,
+                                         alpha, n):
+        gen, init = MATRIX_FLOWS[flow]
+        _assert_rounding_close(*_fast_and_reference(
+            monkeypatch, lambda: fam_solve(gen, alpha, 0.01, n, init, scheme)))
+
+    @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
+    def test_chunked_history_matches_loop_reference(self, monkeypatch,
+                                                    scheme):
+        # A 40-element chunk splits the (n, d^2) history dots into pieces of
+        # 10 (d = 2) and 4 (d = 3) rows.
+        monkeypatch.setattr(fracsolve, "_DOT_CHUNK", 40)
+        for gen, init in MATRIX_FLOWS.values():
+            _assert_rounding_close(*_fast_and_reference(
+                monkeypatch,
+                lambda: fam_solve(gen, 0.6, 0.01, 130, init, scheme)))
 
     def test_matrix_validation(self):
         gen = dephasing_qubit(0.0, 0.5)
@@ -341,10 +434,32 @@ class TestSoeSolve:
         # n = 65 and 130 end one step into a new 64-step block.
         h = 0.01
         soe = soe_compress(alpha, t_min=h, t_max=h * n, tol=1e-8)
-        fast = fam_solve_soe(1.0 - 0.8j, alpha, h, n, 0.5, soe)
-        monkeypatch.setattr(fracsolve, "_soe_core", _loop_soe)
-        ref = fam_solve_soe(1.0 - 0.8j, alpha, h, n, 0.5, soe)
-        _assert_rounding_close(fast.states, ref.states)
+        _assert_rounding_close(*_fast_and_reference(
+            monkeypatch,
+            lambda: fam_solve_soe(1.0 - 0.8j, alpha, h, n, 0.5, soe)))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 65, 130])
+    @pytest.mark.parametrize("flow", sorted(MATRIX_FLOWS))
+    def test_matrix_core_matches_loop_reference(self, monkeypatch, flow,
+                                                alpha, n):
+        gen, init = MATRIX_FLOWS[flow]
+        h = 0.01
+        soe = soe_compress(alpha, t_min=h, t_max=h * n, tol=1e-8)
+        _assert_rounding_close(*_fast_and_reference(
+            monkeypatch, lambda: fam_solve_soe(gen, alpha, h, n, init, soe)))
+
+    def test_short_blocks_match_loop_reference(self, monkeypatch):
+        # A small row budget cuts the 64-step blocks to 1, 2 and 5 steps.
+        gen, init = MATRIX_FLOWS["d3"]
+        soe = soe_compress(0.6, t_min=0.01, t_max=1.3, tol=1e-8)
+        step_rows = 9 * (1 + (2 + soe.n_terms) * 9)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(fracsolve, "_SOE_ROWS_MAX", block * step_rows)
+            _assert_rounding_close(*_fast_and_reference(
+                monkeypatch,
+                lambda: fam_solve_soe(gen, 0.6, 0.01, 130, init, soe)))
+            monkeypatch.undo()
 
     def test_alpha_one_identical(self):
         soe = soe_compress(1.0, t_min=0.01, t_max=1.0, tol=1e-8)

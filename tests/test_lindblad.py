@@ -15,6 +15,8 @@ from fracdyn.lindblad import (
     DensityMatrix,
     GKSLGenerator,
     Superoperator,
+    _admit_states,
+    _density_defects,
     build_superoperator,
     cptp_diagnostics,
     density_from_json,
@@ -59,6 +61,38 @@ def test_density_matrix_entries_immutable():
     rho = plus_state()
     with pytest.raises((ValueError, RuntimeError)):
         rho.entries[0, 0] = 0.3
+
+
+def test_density_defects_of_a_stack():
+    # Hermiticity, trace and spectrum defects matrix by matrix; a matrix
+    # with a non-finite entry reads inf on all three.
+    stack = np.array([
+        np.diag([0.25, 0.75]),
+        [[0.5, 0.3], [0.1, 0.5]],
+        np.diag([0.6, 0.6]),
+        [[0.7, 0.5], [0.5, 0.3]],
+        [[np.nan, 0.0], [0.0, 1.0]],
+    ], dtype=complex)
+    herm, trace, neg = _density_defects(stack)
+    min_eig = 0.5 - math.sqrt(0.2**2 + 0.5**2)
+    np.testing.assert_allclose(herm, [0.0, 0.2, 0.0, 0.0, np.inf], atol=1e-15)
+    np.testing.assert_allclose(trace, [0.0, 0.0, 0.2, 0.0, np.inf],
+                               atol=1e-15)
+    np.testing.assert_allclose(neg, [0.0, 0.0, 0.0, -min_eig, np.inf],
+                               atol=1e-15)
+    one = _density_defects(stack[1])
+    assert [float(x) for x in one] == [herm[1], trace[1], neg[1]]
+
+
+def test_admitted_states_are_read_only_hermitian_parts():
+    stack = np.array([[[0.5, 0.3], [0.1, 0.5]], np.eye(2) / 2], dtype=complex)
+    states = _admit_states(stack, 1e-3)
+    assert all(isinstance(s, DensityMatrix) for s in states)
+    np.testing.assert_array_equal(states[0].entries,
+                                  [[0.5, 0.2], [0.2, 0.5]])
+    assert states[1].psd_tol == states[1].trace_tol == 1e-3
+    with pytest.raises(ValueError):
+        states[1].entries[0, 0] = 1.0
 
 
 def test_generator_rejects_non_hermitian_hamiltonian():

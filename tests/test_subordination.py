@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracdyn.errors import AccuracyError, DomainError, ValidationError
+from fracdyn import subordination
+from fracdyn.errors import (
+    AccuracyError,
+    DomainError,
+    NumericalInstabilityError,
+    ValidationError,
+)
 from fracdyn.fracsolve import fam_solve, ml_propagate
 from fracdyn.lindblad import (
     PAULI_X,
@@ -245,6 +251,21 @@ class TestSubordinatedPropagate:
         cfg = QuadConfig(agree_tol=1e-30, max_doublings=1)
         with pytest.raises(AccuracyError):
             subordinated_propagate(gen, 0.5, 1.0, plus_state(), quad=cfg)
+
+    def test_non_hermitian_result_raises(self, monkeypatch):
+        # A map that leaks rho_00 into rho_01 only: the result is off
+        # Hermitian by 5e-7 while its trace and spectrum stay valid.
+        exact = subordination._subordinated_matrix
+
+        def skewed(*args):
+            phi = exact(*args).copy()
+            phi[1, 0] += 1e-6
+            return phi
+
+        monkeypatch.setattr(subordination, "_subordinated_matrix", skewed)
+        with pytest.raises(NumericalInstabilityError, match="defect 5e-07"):
+            subordinated_propagate(dephasing_qubit(0.0, 0.5), 0.5, 1.0,
+                                   plus_state())
 
     def test_validation(self):
         gen = dephasing_qubit(0.0, 0.5)
