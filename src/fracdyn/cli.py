@@ -302,7 +302,7 @@ def _cmd_exact(config: dict, out: Path, digest: str) -> int:
     bath = _build_bath(config["bath"])
     grid = _build_grid(config["grid"])
     regime = _REGIMES[config["regime"]]
-    q = np.array([dephasing_Q(bath, t) for t in grid])
+    q = dephasing_Q(bath, grid)
     q_asym = np.empty_like(q)
     for i, t in enumerate(grid):
         if t == 0.0:

@@ -2,10 +2,12 @@
 
 Zero- and finite-temperature dephasing of a qubit coupled to a bosonic bath
 through sigma_z: spectral densities with algebraic low-frequency behavior and
-exponential cutoff, the dephasing functional Q(t), the bath correlation
-function C(t), the exact coherence u(t) = e^{-i eps t} e^{-Q(t)}, closed-form
-short- and long-time asymptotics, and the two comparison models (constant-rate
-Markovian dephasing and the time-local model with rate Q'(t)/2).
+exponential cutoff, the dephasing functional Q(t) and the bath correlation
+function C(t) (closed forms at zero temperature, adaptive quadrature at finite
+temperature, on scalars or whole time arrays), the exact coherence
+u(t) = e^{-i eps t} e^{-Q(t)}, closed-form short- and long-time asymptotics,
+and the two comparison models (constant-rate Markovian dephasing and the
+time-local model with rate Q'(t)/2).
 """
 
 from __future__ import annotations
@@ -161,14 +163,8 @@ def _j_scalar(bath: BathSpec):
     return j
 
 
-def dephasing_Q(bath: BathSpec, t: float) -> float:
-    """Q(t) = (2/pi) * int_0^inf dw J(w)/w^2 (1 - cos wt) coth(beta w / 2).
-
-    Adaptive quadrature split at w = 1/t and w = omega_c, with the w -> 0
-    integrand limit evaluated analytically; target absolute accuracy 1e-10.
-    """
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"dephasing_Q requires finite t >= 0, got {t}")
+def _q_quadrature(bath: BathSpec, t: float) -> float:
+    """Q(t) at one time ``t >= 0`` by adaptive quadrature (any beta)."""
     if t == 0.0:
         return 0.0
     big = _CUTOFF_MULT * bath.omega_c
@@ -205,13 +201,8 @@ def dephasing_Q(bath: BathSpec, t: float) -> float:
     return val
 
 
-def bath_correlation(bath: BathSpec, t: float) -> float:
-    """C(t) = (2/pi) * int_0^inf dw J(w) cos(wt) coth(beta w / 2).
-
-    Oscillatory adaptive quadrature; target absolute accuracy 1e-9.
-    """
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"bath_correlation requires finite t >= 0, got {t}")
+def _c_quadrature(bath: BathSpec, t: float) -> float:
+    """C(t) at one time ``t >= 0`` by oscillatory quadrature (any beta)."""
     big = _CUTOFF_MULT * bath.omega_c
     pref = 2.0 / math.pi
     jay = _j_scalar(bath)
@@ -233,6 +224,97 @@ def bath_correlation(bath: BathSpec, t: float) -> float:
         val += _quad_checked(envelope, split, big, what="bath_correlation",
                              weight="cos", wvar=t)
     return val
+
+
+def _polar(bath: BathSpec, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """ln|1 - i x| and arctan x for x = omega_c t, so that
+    ln(1 - i x) = ln|1 - i x| - i arctan x.
+
+    ln|1 - i x| = log1p(x^2)/2 keeps full relative accuracy as x -> 0; above
+    x = 1e8 it is ln x to the last bit, and x^2 would overflow past 1e154.
+    """
+    x = bath.omega_c * t
+    log_mod = np.where(x > 1e8, np.log(np.maximum(x, 1e8)),
+                       0.5 * np.log1p(np.minimum(x, 1e8) ** 2))
+    return log_mod, np.arctan(x)
+
+
+def _q_closed(bath: BathSpec, t: np.ndarray) -> np.ndarray:
+    """Q(t) at beta = inf: (2/pi) eta Gamma(chi-1) [1 - Re (1 - i x)^(1-chi)].
+
+    With s = 1 - chi, a = s ln|1 - i x| and b = s arctan x, (1 - i x)^s is
+    e^{a - i b} and 1 - e^a cos b = 2 sin^2(b/2) - expm1(a) cos b, which has
+    no cancellation as x -> 0 or chi -> 1; chi = 1 is (eta/pi) ln(1 + x^2).
+    """
+    log_mod, angle = _polar(bath, t)
+    if bath.chi == 1.0:
+        return (2.0 * bath.eta / math.pi) * log_mod
+    s = 1.0 - bath.chi
+    a, b = s * log_mod, s * angle
+    bracket = 2.0 * np.sin(0.5 * b) ** 2 - np.expm1(a) * np.cos(b)
+    return (2.0 / math.pi) * bath.eta * math.gamma(bath.chi - 1.0) * bracket
+
+
+def _c_closed(bath: BathSpec, t: np.ndarray) -> np.ndarray:
+    """C(t) at beta = inf: (2/pi) eta Gamma(chi+1) omega_c^2
+    Re (1 - i x)^(-(chi+1))."""
+    log_mod, angle = _polar(bath, t)
+    p = bath.chi + 1.0
+    amp = (2.0 / math.pi) * bath.eta * math.gamma(p) * bath.omega_c ** 2
+    return amp * np.exp(-p * log_mod) * np.cos(p * angle)
+
+
+def _on_times(bath: BathSpec, t, what: str, closed, quadrature):
+    """Evaluate a bath function at every time in ``t`` (scalar or array).
+
+    beta = inf takes the closed form on the whole array; finite beta runs
+    the scalar quadrature once per element.  A scalar or 0-d ``t`` gives a
+    ``float``, an array an array of its shape.
+    """
+    arr = np.asarray(t, dtype=float)
+    bad = (arr < 0.0) | ~np.isfinite(arr)
+    if np.any(bad):
+        raise DomainError(
+            f"{what} requires finite t >= 0, got {float(arr[bad][0])!r}")
+    if math.isinf(bath.beta):
+        out = closed(bath, arr)
+    else:
+        out = np.array([quadrature(bath, x) for x in arr.ravel().tolist()],
+                       dtype=float).reshape(arr.shape)
+    if arr.ndim == 0:
+        return float(out)
+    return out
+
+
+def dephasing_Q(bath: BathSpec, t) -> Union[float, np.ndarray]:
+    """Q(t) = (2/pi) * int_0^inf dw J(w)/w^2 (1 - cos wt) coth(beta w / 2).
+
+    ``t`` may be a scalar (returns ``float``) or an array of any shape
+    (returns an array of that shape); every element must be finite and
+    >= 0, else :class:`DomainError`.
+
+    At beta = inf the integral has the closed form (Leggett et al., Rev.
+    Mod. Phys. 59, 1 (1987))
+        Q = (2/pi) eta Gamma(chi-1) [1 - Re (1 - i omega_c t)^(1-chi)],
+        Q = (eta/pi) ln(1 + omega_c^2 t^2) at chi = 1,
+    evaluated on the whole array without cancellation at small t or near
+    chi = 1 (relative error ~1e-15).  At finite beta each element is one
+    adaptive quadrature, split at w = 1/t, omega_c and 2/beta, with the
+    w -> 0 integrand limit evaluated analytically; target absolute accuracy
+    1e-10.
+    """
+    return _on_times(bath, t, "dephasing_Q", _q_closed, _q_quadrature)
+
+
+def bath_correlation(bath: BathSpec, t) -> Union[float, np.ndarray]:
+    """C(t) = (2/pi) * int_0^inf dw J(w) cos(wt) coth(beta w / 2).
+
+    Same array contract as :func:`dephasing_Q`.  At beta = inf the closed
+    form C = (2/pi) eta Gamma(chi+1) omega_c^2 Re (1 - i omega_c t)^(-(chi+1))
+    is evaluated on the whole array; at finite beta each element is one
+    oscillatory adaptive quadrature, target absolute accuracy 1e-9.
+    """
+    return _on_times(bath, t, "bath_correlation", _c_closed, _c_quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +386,7 @@ def _validated_grid(grid) -> np.ndarray:
 def exact_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:
     """u(t_k) = e^{-i epsilon t_k} e^{-Q(t_k)} with u(0) normalized to 1."""
     times = _validated_grid(grid)
-    values = np.empty(times.size, dtype=complex)
-    for k, t in enumerate(times):
-        values[k] = np.exp(-1j * epsilon * t - dephasing_Q(bath, float(t)))
+    values = np.exp(-1j * epsilon * times - dephasing_Q(bath, times))
     return CoherenceSeries(times, values, "exact")
 
 
@@ -418,41 +498,43 @@ def markov_coherence(gamma: float, epsilon: float, grid) -> CoherenceSeries:
 def tcl_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:
     """Time-local model du/dt = (i epsilon - 2 gamma(t)) u, gamma(t) = Q'(t)/2.
 
-    The rate is obtained by central differences of the quadrature for Q at
-    step min(dt, 1e-3)/4; the (scalar, linear) equation is integrated
-    interval by interval with a 5-point Gauss-Legendre rule applied to the
-    accumulated exponent.  By construction this reproduces the exact
-    coherence law.
+    Each grid interval [a, b] is cut into ceil((b - a)/0.5) cells with a
+    5-point Gauss-Legendre rule each; the rate at a node tau is the central
+    difference (Q(tau + d) - Q(tau - d)) / (4 d) with d = min(b - a, 1e-3)/4
+    (d = tau if tau < d), all node values Q(tau +- d) taken in one
+    :func:`dephasing_Q` call, and the exponent is accumulated node by node
+    in grid order.  By construction this reproduces the exact coherence law.
+
+    The rate stays a central difference, not the exact Q'(t), on purpose:
+    its truncation error is part of the published ``dev_tcl`` column of the
+    ``markov`` command (1e-10 to 5.3e-9 on the demo config), and the exact
+    rate Q'(t)/2 would move that column by up to 5.3e-9, far beyond the
+    1e-12 absolute tolerance its reference output is checked at.
     """
     times = _validated_grid(grid)
     nodes, weights = np.polynomial.legendre.leggauss(5)
-
-    def gamma_rate(tau: float, step: float) -> float:
-        if tau <= 0.0:
-            return 0.0
-        d = min(step, 1e-3) / 4.0
-        if tau < d:
-            d = tau
-        return (dephasing_Q(bath, tau + d) - dephasing_Q(bath, tau - d)) / (4.0 * d)
-
+    start = 1 if times[0] == 0.0 else 0
+    ends = times[start:]
+    begins = np.concatenate(([0.0], times[:-1]))[start:]
+    steps = ends - begins
+    n_sub = np.maximum(1, np.ceil(steps / 0.5).astype(np.int64))
+    width = steps / n_sub
+    # One row per Gauss cell, in grid order: cell i of interval k.
+    last = np.cumsum(n_sub)
+    interval = np.repeat(np.arange(ends.size), n_sub)
+    cell = np.arange(interval.size) - np.repeat(last - n_sub, n_sub)
+    half = 0.5 * width[interval]
+    mid = begins[interval] + cell * width[interval] + half
+    tau = mid[:, None] + half[:, None] * nodes
+    d = np.minimum(tau, (np.minimum(steps, 1e-3) / 4.0)[interval][:, None])
+    q = dephasing_Q(bath, np.stack((tau + d, tau - d)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate = np.where(tau > 0.0, (q[0] - q[1]) / (4.0 * d), 0.0)
+    # Sequential running sum: the same additions, in the same order, as
+    # accumulating node by node.
+    exponent = np.cumsum((half[:, None] * weights * 2.0 * rate).ravel())
     values = np.empty(times.size, dtype=complex)
-    exponent = 0.0
-    prev = 0.0
-    start = 0
-    if times[0] == 0.0:
-        values[0] = 1.0
-        start = 1
-    for k in range(start, times.size):
-        a, b = prev, float(times[k])
-        n_sub = max(1, int(math.ceil((b - a) / 0.5)))
-        width = (b - a) / n_sub
-        for i in range(n_sub):
-            lo = a + i * width
-            half = 0.5 * width
-            mid = lo + half
-            for x, w in zip(nodes, weights):
-                tau = mid + half * x
-                exponent += half * w * 2.0 * gamma_rate(tau, b - a)
-        values[k] = np.exp(1j * epsilon * times[k] - exponent)
-        prev = b
+    values[:start] = 1.0
+    values[start:] = np.exp(1j * epsilon * ends
+                            - exponent[nodes.size * last - 1])
     return CoherenceSeries(times, values, "tcl")

@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from fracdyn.cli import main
 
@@ -42,6 +43,15 @@ def run_demo(tmp_path, stem, **changes):
     assert main([config["command"], "--config", str(path),
                  "--out", str(out)]) == 0
     return read_columns(out)
+
+
+def read_comment(path, key):
+    """The value of the ``# key: value`` comment line of a CLI artifact."""
+    prefix = f"# {key}: "
+    with open(path, encoding="utf-8") as fh:
+        values = [line[len(prefix):] for line in fh if line.startswith(prefix)]
+    assert len(values) == 1, (path, key)
+    return float(values[0])
 
 
 def assert_columns_close(got, want, **tolerances):
@@ -91,3 +101,18 @@ def test_dense_trajectory_matches_committed_soe_output(tmp_path):
         run_demo(tmp_path, "solver_soe_trajectory", history="dense"),
         read_columns(DEMOS / "output" / "solver_soe_trajectory.csv"),
         rtol=0.0, atol=SOE_DENSE_ATOL)
+
+
+@pytest.mark.parametrize("stem, comment", [
+    ("exact_short_time", "amplitude_prefactor"),
+    ("exact_ohmic_tail", "amplitude_prefactor"),
+    ("exact_super_ohmic_plateau", "amplitude_prefactor"),
+    ("markov_vs_exact", "gamma"),
+])
+def test_bath_demo_matches_committed_output(tmp_path, stem, comment):
+    want = DEMOS / "output" / f"{stem}.csv"
+    assert_columns_close(run_demo(tmp_path, stem), read_columns(want),
+                         rtol=RTOL, atol=ATOL)
+    np.testing.assert_allclose(read_comment(tmp_path / f"{stem}.csv", comment),
+                               read_comment(want, comment),
+                               rtol=RTOL, atol=ATOL)

@@ -423,6 +423,17 @@ class TestDefaultFitWindow:
         w = default_fit_window(BathSpec(1.0, 1.0), end_factor=60.0)
         assert w.t_end == pytest.approx(34.97, abs=0.05)
 
+    # (chi, t_start / 2) from the quadrature-based C(t) this rule used before
+    # C(t) at beta = inf became its closed form; the bisection stops at a
+    # bracket of width 1e-6.
+    @pytest.mark.parametrize("chi, tau_b", [(0.5, 0.7973705291748049),
+                                            (1.0, 0.5828517913818357),
+                                            (1.5, 0.4624713897705077)])
+    def test_window_pinned_across_chi(self, chi, tau_b):
+        w = default_fit_window(BathSpec(1.0, chi))
+        assert w.t_start / 2.0 == pytest.approx(tau_b, abs=1e-6)
+        assert w.t_end / 20.0 == pytest.approx(tau_b, abs=1e-6)
+
     @pytest.mark.parametrize("factor", [10.0, 61.0])
     def test_factor_out_of_range(self, factor):
         with pytest.raises(ValidationError):

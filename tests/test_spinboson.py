@@ -4,7 +4,9 @@ Closed-form references used throughout (eta, omega_c arbitrary, beta = inf):
     chi != 1:  Q(t) = (2/pi) eta Gamma(chi-1) [1 - Re (1 - i w_c t)^(1-chi)]
     chi == 1:  Q(t) = (eta/pi) ln(1 + w_c^2 t^2)
     C(t) = (2/pi) eta Gamma(chi+1) w_c^2 Re (1 - i w_c t)^(-(chi+1))
-obtained by evaluating the defining integrals analytically.
+obtained by evaluating the defining integrals analytically.  The library
+evaluates these forms itself at beta = inf, so they are also checked against
+50-digit mpmath and against the adaptive quadrature that finite beta uses.
 """
 
 import math
@@ -14,6 +16,8 @@ import pytest
 
 from fracdyn.errors import DomainError, ValidationError
 from fracdyn.spinboson import (
+    _c_quadrature,
+    _q_quadrature,
     AsymptoticRegime,
     BathSpec,
     CoherenceSeries,
@@ -124,6 +128,97 @@ class TestDephasingQ:
             dephasing_Q(OHMIC, -1.0)
 
 
+KERNEL_CHIS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0]
+# Half-decade steps over t in [1e-5, 1e4]: Q spans ~1e-10 to ~1e4 here, so
+# the small-t end exercises the cancellation the closed form must avoid.
+KERNEL_TIMES = np.geomspace(1e-5, 1e4, 19)
+WARM = BathSpec(0.8, 1.0, 1.3, beta=2.0)
+
+
+def q_mpmath(chi, t, eta=1.0, wc=1.0):
+    """Q at beta = inf from the closed form in 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(wc) * mpmath.mpf(t)
+        if chi == 1.0:
+            return float(eta / mpmath.pi * mpmath.log1p(x * x))
+        c = mpmath.mpf(chi)
+        z = mpmath.power(mpmath.mpc(1, -x), 1 - c)
+        return float(2 / mpmath.pi * eta * mpmath.gamma(c - 1)
+                     * (1 - mpmath.re(z)))
+
+
+class TestDephasingQKernel:
+    """The batch kernel: closed form at beta = inf, quadrature loop else."""
+
+    @pytest.mark.parametrize("chi", KERNEL_CHIS)
+    def test_closed_form_against_mpmath(self, chi):
+        got = dephasing_Q(BathSpec(1.0, chi, 1.0), KERNEL_TIMES)
+        want = np.array([q_mpmath(chi, t) for t in KERNEL_TIMES])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5])
+    def test_closed_form_scaled_and_huge_t(self, chi):
+        # omega_c != 1, and t far past where (omega_c t)^2 overflows.
+        times = np.array([0.3, 7.0, 1e100, 1e200])
+        got = dephasing_Q(BathSpec(0.7, chi, 2.0), times)
+        want = np.array([q_mpmath(chi, t, eta=0.7, wc=2.0) for t in times])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("chi", KERNEL_CHIS)
+    def test_closed_form_against_quadrature(self, chi):
+        bath = BathSpec(1.0, chi, 1.0)
+        quad = np.array([_q_quadrature(bath, float(t)) for t in KERNEL_TIMES])
+        np.testing.assert_allclose(dephasing_Q(bath, KERNEL_TIMES), quad,
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_scalar_returns_float(self):
+        for t in (2.0, 2, np.float64(2.0), np.array(2.0)):
+            q = dephasing_Q(OHMIC, t)
+            assert type(q) is float
+            assert q == pytest.approx(q_closed(1.0, 2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("bath", [BathSpec(1.0, 0.5, 1.0), WARM],
+                             ids=["zero-T", "finite-beta"])
+    @pytest.mark.parametrize("shape", [(7,), (2, 3), (1, 1), (0,)])
+    def test_array_keeps_shape(self, bath, shape):
+        times = np.linspace(0.0, 6.0, int(np.prod(shape))).reshape(shape)
+        q = dephasing_Q(bath, times)
+        assert isinstance(q, np.ndarray) and q.shape == shape
+        assert q.dtype == np.float64
+        for t, v in zip(times.ravel(), q.ravel()):
+            assert v == dephasing_Q(bath, float(t))
+
+    def test_zero_time_is_zero(self):
+        for chi in KERNEL_CHIS:
+            bath = BathSpec(1.0, chi, 1.0)
+            assert dephasing_Q(bath, 0.0) == 0.0
+            assert dephasing_Q(bath, np.array([0.0, 1.0]))[0] == 0.0
+        assert dephasing_Q(WARM, np.zeros((2, 2))).tolist() == [[0.0, 0.0]] * 2
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan, math.inf,
+                                     -math.inf])
+    @pytest.mark.parametrize("bath", [OHMIC, WARM],
+                             ids=["zero-T", "finite-beta"])
+    def test_one_bad_element_raises(self, bath, bad):
+        times = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        times[1, 1] = bad
+        with pytest.raises(DomainError, match="dephasing_Q"):
+            dephasing_Q(bath, times)
+        with pytest.raises(DomainError):
+            dephasing_Q(bath, bad)
+
+    def test_finite_beta_array_equals_scalar_loop(self):
+        # Finite beta keeps the quadrature: the array route is the scalar
+        # route element by element, bit for bit.
+        times = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 700.0])
+        for bath in (WARM, BathSpec(1.0, 0.8, 1.0, beta=5.0),
+                     BathSpec(1.0, 1.5, 2.0, beta=0.5)):
+            loop = [_q_quadrature(bath, float(t)) for t in times]
+            assert dephasing_Q(bath, times).tolist() == loop
+            assert [dephasing_Q(bath, float(t)) for t in times] == loop
+
+
 class TestBathCorrelation:
     @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.0, 10.0, 100.0])
@@ -141,6 +236,26 @@ class TestBathCorrelation:
         # |C| decays as (2/pi) t^-2: ~6.4e-5 at t = 100, below 1e-6 by t = 1e3
         assert abs(bath_correlation(OHMIC, 100.0)) < 1e-4
         assert abs(bath_correlation(OHMIC, 1000.0)) < 1e-6
+
+    @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5, 3.0])
+    def test_closed_form_against_quadrature(self, chi):
+        bath = BathSpec(0.8, chi, 1.3)
+        times = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 13)))
+        quad = np.array([_c_quadrature(bath, float(t)) for t in times])
+        np.testing.assert_allclose(bath_correlation(bath, times), quad,
+                                   rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("bath", [OHMIC, WARM],
+                             ids=["zero-T", "finite-beta"])
+    def test_array_contract(self, bath):
+        times = np.array([[0.0, 0.5], [2.0, 30.0]])
+        c = bath_correlation(bath, times)
+        assert isinstance(c, np.ndarray) and c.shape == (2, 2)
+        for t, v in zip(times.ravel(), c.ravel()):
+            scalar = bath_correlation(bath, float(t))
+            assert type(scalar) is float and v == scalar
+        with pytest.raises(DomainError, match="bath_correlation"):
+            bath_correlation(bath, np.array([1.0, math.nan]))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +453,54 @@ class TestMarkovModel:
         assert dev.max() > 0.05
 
 
+def tcl_loop_reference(bath, epsilon, times):
+    """Node-by-node time-local coherence, one scalar Q pair per Gauss node:
+    the loop the batched :func:`tcl_coherence` must reproduce bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+
+    def gamma_rate(tau, step):
+        if tau <= 0.0:
+            return 0.0
+        d = min(step, 1e-3) / 4.0
+        if tau < d:
+            d = tau
+        return (dephasing_Q(bath, tau + d)
+                - dephasing_Q(bath, tau - d)) / (4.0 * d)
+
+    values = np.empty(times.size, dtype=complex)
+    exponent, prev, start = 0.0, 0.0, 0
+    if times[0] == 0.0:
+        values[0] = 1.0
+        start = 1
+    for k in range(start, times.size):
+        a, b = prev, float(times[k])
+        n_sub = max(1, int(math.ceil((b - a) / 0.5)))
+        width = (b - a) / n_sub
+        for i in range(n_sub):
+            half = 0.5 * width
+            mid = a + i * width + half
+            for x, w in zip(nodes, weights):
+                exponent += half * w * 2.0 * gamma_rate(mid + half * x, b - a)
+        values[k] = np.exp(1j * epsilon * times[k] - exponent)
+        prev = b
+    return values
+
+
 class TestTclModel:
+    @pytest.mark.parametrize("bath", [BathSpec(0.8, 0.5, 1.3), OHMIC,
+                                      BathSpec(1.0, 1.5, 1.0), WARM],
+                             ids=["sub", "ohmic", "super", "finite-beta"])
+    @pytest.mark.parametrize("grid", [
+        [0.0],
+        [2.0, 4.0, 8.0],
+        [0.0, 1e-4, 0.3, 2.7, 3.0],
+        list(np.geomspace(0.01, 30.0, 17)),
+    ], ids=["origin", "no-origin", "uneven", "log"])
+    def test_matches_loop_reference(self, bath, grid):
+        grid = np.array(grid)
+        got = tcl_coherence(bath, 0.7, grid).values
+        assert got.tolist() == tcl_loop_reference(bath, 0.7, grid).tolist()
+
     @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5])
     def test_reproduces_exact(self, chi):
         bath = BathSpec(1.0, chi, 1.0)
