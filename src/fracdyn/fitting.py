@@ -113,10 +113,9 @@ class FitResult:
 
 def _model_values(alpha: float, lam: float, times: np.ndarray,
                   u_inf: Optional[float]) -> np.ndarray:
-    out = np.empty(times.size, dtype=float)
-    for i, t in enumerate(times.ravel()):
-        out[i] = mittag_leffler(alpha, -lam * t**alpha) if t > 0.0 else 1.0
-    out = out.reshape(times.shape)
+    # Times t <= 0 give z = 0, hence E = 1.
+    clipped = np.where(times > 0.0, times, 0.0)
+    out = mittag_leffler(alpha, -lam * clipped**alpha)
     if u_inf is not None:
         out = u_inf + (1.0 - u_inf) * out
     return out

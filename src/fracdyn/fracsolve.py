@@ -64,7 +64,7 @@ from .lindblad import (
     unvec,
     vec,
 )
-from .specfun import FractionalOrder, _alpha_value, _mittag_leffler_any
+from .specfun import FractionalOrder, _alpha_value, mittag_leffler
 
 __all__ = [
     "WeightScheme",
@@ -597,8 +597,9 @@ def ml_propagate(
 ) -> DensityMatrix:
     """Exact spectral propagation rho(t) = E_alpha(t^alpha M) rho(0).
 
-    Diagonalizes the superoperator M = V diag(lambda_j) V^(-1) and applies
-    E_alpha(lambda_j t^alpha) mode by mode.  Raises a diagnostic error if the
+    Diagonalizes the superoperator M = V diag(lambda_j) V^(-1) and scales
+    mode j by E_alpha(lambda_j t^alpha), all modes in one array call (complex
+    eigenvalues included).  Raises a diagnostic error if the
     eigenbasis condition number reaches 1e8 (use :func:`fam_solve` then).
     """
     a = _alpha_value(alpha)
@@ -617,9 +618,7 @@ def ml_propagate(
             "use fam_solve instead"
         )
     coeffs = np.linalg.solve(V, rho0)
-    factors = np.array(
-        [_mittag_leffler_any(a, z) for z in evals * t**a], dtype=complex
-    )
+    factors = mittag_leffler(a, evals * t**a)
     out = unvec(V @ (factors * coeffs), gen.dim)
     worst = float(max(_density_defects(out)))
     if worst > _STATE_FAIL_TOL:

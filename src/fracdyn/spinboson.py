@@ -139,11 +139,12 @@ def _quad_checked(func, lo, hi, *, what: str, points=None, weight=None,
     out = quad(func, lo, hi, **kwargs)
     val, err = out[0], out[1]
     if len(out) > 3 or not math.isfinite(val):
-        raise DomainError(f"{what}: quadrature did not converge")
+        raise AccuracyError(f"{what}: quadrature did not converge",
+                            achieved=err)
     if err > 1e-9:
-        raise DomainError(
-            f"{what}: quadrature error estimate {err:.2e} exceeds tolerance"
-        )
+        raise AccuracyError(
+            f"{what}: quadrature error estimate {err:.2e} exceeds tolerance",
+            achieved=err)
     return val
 
 

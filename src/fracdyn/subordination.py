@@ -360,7 +360,6 @@ def divisibility_defect(
         raise DomainError("lambda must be > 0")
     if not (0.0 < tau < t):
         raise DomainError("tau must lie strictly between 0 and t")
-    full = mittag_leffler(a, -lam * t**a)
-    split = mittag_leffler(a, -lam * (t - tau) ** a) \
-        * mittag_leffler(a, -lam * tau**a)
-    return abs(full - split)
+    full, head, tail = mittag_leffler(
+        a, -lam * np.array([t, t - tau, tau]) ** a)
+    return float(abs(full - head * tail))

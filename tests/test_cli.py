@@ -11,6 +11,8 @@ import math
 import subprocess
 import sys
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from fracdyn.fitting import FitResult
 from fracdyn.specfun import mittag_leffler
 from fracdyn.spinboson import BathSpec, dephasing_Q
 
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DEPHASING_GEN = {
     "dim": 2,
     "hamiltonian": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -351,6 +354,19 @@ class TestSubordinate:
         _, dh, drows = read_csv(tmp_path / "out_divisibility.csv")
         assert np.max(column(dh, drows, "defect")) <= 1e-12
 
+    def test_precessing_demo_routes_agree(self, tmp_path):
+        # Complex generator eigenvalues: the spectral route must match the
+        # quadrature, not fail on series cancellation (exit 3).
+        doc = json.loads(
+            (DEMOS / "configs" / "subordinate_mc.json").read_text())
+        doc["epsilon"] = 2.0
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        _, header, rows = read_csv(out)
+        dev = np.abs(column(header, rows, "obs_ml")
+                     - column(header, rows, "obs_quad"))
+        assert np.max(dev) <= 1e-12
+
     def test_divisibility_witness_value(self, tmp_path):
         doc = {"command": "subordinate", "alpha": 0.5,
                "grid": {"t_min": 1.0, "t_max": 3.0, "n_points": 3},
@@ -470,6 +486,17 @@ class TestPlumbing:
         monkeypatch.setattr("fracdyn.cli.dephasing_Q", boom)
         doc = {"command": "exact", "bath": {"eta": 1.0, "chi": 0.5},
                "grid": {"t_min": 0.5, "t_max": 1.0, "n_points": 2},
+               "regime": "short_time"}
+        code, _ = run(tmp_path, doc)
+        assert code == 3
+        assert "numerical-accuracy" in capsys.readouterr().err
+
+    def test_unconverged_quadrature_is_accuracy_failure(self, tmp_path,
+                                                       capsys):
+        # A valid finite-temperature config whose dephasing quadrature does
+        # not converge at late times: exit 3, not a config error.
+        doc = {"command": "exact", "bath": {"eta": 1, "chi": 0.5, "beta": 1},
+               "grid": {"t_min": 0, "t_max": 30, "n_points": 31},
                "regime": "short_time"}
         code, _ = run(tmp_path, doc)
         assert code == 3

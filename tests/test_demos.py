@@ -17,6 +17,9 @@ from fracdyn.cli import main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 RTOL, ATOL = 1e-9, 1e-12
+# Fitted parameters come out of a Nelder-Mead search stopped at a simplex
+# diameter of 1e-6; the fitted curve inherits that.
+FIT_RTOL, FIT_ATOL = 1e-6, 1e-9
 MC_SIGMAS = 5.0
 # Dense and SOE histories agree to ~1e-9 on the demo trajectory (SOE
 # tolerance 1e-8).
@@ -116,3 +119,25 @@ def test_bath_demo_matches_committed_output(tmp_path, stem, comment):
     np.testing.assert_allclose(read_comment(tmp_path / f"{stem}.csv", comment),
                                read_comment(want, comment),
                                rtol=RTOL, atol=ATOL)
+
+
+@pytest.mark.parametrize("stem", ["fracfit_sub_ohmic", "fracfit_super_ohmic"])
+def test_fit_demo_matches_committed_output(tmp_path, stem):
+    got = run_demo(tmp_path, stem)
+    want = read_columns(DEMOS / "output" / f"{stem}.csv")
+    assert got.keys() == want.keys()
+    for name in want:
+        fitted = name in ("abs_u_fit", "deviation")
+        np.testing.assert_allclose(
+            got[name], want[name], err_msg=name,
+            rtol=FIT_RTOL if fitted else RTOL,
+            atol=FIT_ATOL if fitted else ATOL)
+
+    got_fit = json.loads((tmp_path / f"{stem}.json").read_text())
+    want_fit = json.loads((DEMOS / "output" / f"{stem}.json").read_text())
+    assert got_fit["converged"] is True
+    for key in ("alpha", "lambda", "u_inf"):
+        assert (key in got_fit) == (key in want_fit), key
+        if key in want_fit:
+            np.testing.assert_allclose(got_fit[key], want_fit[key],
+                                       rtol=FIT_RTOL, atol=0.0, err_msg=key)

@@ -33,7 +33,8 @@ from fracdyn.lindblad import (
     plus_state,
     semigroup_apply,
 )
-from fracdyn.specfun import _mittag_leffler_any, mittag_leffler
+from fracdyn.specfun import mittag_leffler
+from fracdyn.subordination import subordinated_propagate
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -513,11 +514,21 @@ class TestMlPropagate:
         r2 = semigroup_apply(build_superoperator(gen), 0.7, plus_state())
         assert np.max(np.abs(r1.entries - r2.entries)) < 1e-10
 
-    def test_complex_eigenvalue_precession(self):
+    def test_complex_eigenvalue_precession(self, ml_mpmath):
         gen = GKSLGenerator(0.5 * PAULI_Z, ())
         out = ml_propagate(gen, 0.6, 2.0, plus_state())
-        expect = 0.5 * _mittag_leffler_any(0.6, 1j * 2.0**0.6)
+        expect = 0.5 * ml_mpmath(0.6, 1j * 2.0**0.6)
         assert abs(out.entries[1, 0] - expect) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 0.95])
+    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0])
+    def test_precessing_dephasing_matches_subordination(self, alpha, t):
+        # Complex generator eigenvalues, e.g. -1 +- 4i for dephasing_qubit(2,
+        # 0.5), where the Taylor series of E_alpha had max terms near 1e10.
+        gen = dephasing_qubit(2.0, 0.5)
+        out = ml_propagate(gen, alpha, t, plus_state())
+        ref = subordinated_propagate(gen, alpha, t, plus_state())
+        assert np.max(np.abs(out.entries - ref.entries)) <= 1e-10
 
     def test_matches_fam_solve(self):
         gen = dephasing_qubit(0.4, 0.5)

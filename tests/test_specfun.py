@@ -1,9 +1,10 @@
 """Unit tests for fracdyn.specfun: Mittag-Leffler and M-Wright functions.
 
-Reference values were generated with mpmath at 40-60 significant digits using
-two independent representations (the defining power series where it is
-numerically admissible, and the Stieltjes spectral integral
-E_a(-x) = int_0^oo K_a(r) exp(-r x^(1/a)) dr elsewhere).
+Frozen reference values were generated with mpmath at 40-60 significant
+digits using two independent representations (the defining power series where
+it is numerically admissible, and the Stieltjes spectral integral
+E_a(-x) = int_0^oo K_a(r) exp(-r x^(1/a)) dr elsewhere).  Complex arguments
+are checked against a live mpmath series (the ``ml_mpmath`` fixture).
 """
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx, gamma as _gamma
+from scipy.special import erfcx, gamma as _gamma, wofz
 
 from fracdyn import (
     DomainError,
@@ -23,7 +24,7 @@ from fracdyn import (
     mittag_leffler,
     ml_partial_sum,
 )
-from fracdyn.specfun import _ml_neg_auto, m_wright_asymptotic
+from fracdyn.specfun import m_wright_asymptotic
 
 
 # ----------------------------------------------------------------------------
@@ -75,12 +76,11 @@ def test_ml_alpha_one_is_exp():
 
 
 def test_ml_batch_alpha_one_is_exp_without_spectral_basis():
-    # Without the alpha = 1 shortcut the spectral basis has ~333k nodes and
-    # 400 points build a ~1 GB exponential matrix.
+    # alpha = 1 is exp itself: no contour, no points x nodes temporaries.
     x = np.linspace(0.0, 30.0, 400)
     tracemalloc.start()
     try:
-        vals = _ml_neg_auto(1.0, x)
+        vals = mittag_leffler(1.0, -x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -102,6 +102,7 @@ _ML_NEG_TABLE = [
     (0.7, 2.0, 0.21378672701529727534),
     (0.9, 1.0, 0.37606602142464187902),
     (0.99, 3.0, 0.053451867506199626849),
+    (0.99999, 2.0, 0.13533817009362525507),
 ]
 
 # Large-argument cases frozen from the mpmath spectral-integral reference.
@@ -111,6 +112,10 @@ _ML_NEG_TABLE_BIG = [
     (0.7, 300.0, 0.0011172307483615784488),
     (0.5, 1.0e4, 5.6418958072680834448e-05),
     (0.05, 1.2, 0.44735225261028476712),
+    # Series branch, 60 digits: alpha close to 1 resolves the power-law
+    # tail next to exp(-x).
+    (0.9999, 10.0, 5.844673543932704351e-05),
+    (0.99999, 10.0, 4.670462991367150875e-05),
 ]
 
 
@@ -171,6 +176,75 @@ def test_ml_long_time_power_law_alpha03_first_correction():
     correction = _gamma(1.0 - alpha) / (_gamma(1.0 - 2.0 * alpha) * t**alpha)
     assert 0.03 < dev < 0.04
     assert dev == pytest.approx(correction, rel=0.02)
+
+
+# ----------------------------------------------------------------------------
+# Mittag-Leffler: complex plane and array contract
+# ----------------------------------------------------------------------------
+
+# Left half plane, imaginary axis included: where GKSL generator eigenvalues
+# lie.  Points with |z|^(1/alpha) > 100 are left out, since the series
+# reference needs about that many digits and terms.
+_ML_GRID_ABS = np.logspace(-2, math.log10(30.0), 9)
+_ML_GRID_ARG = np.linspace(math.pi / 2, math.pi, 7)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.6, 0.8, 0.9, 0.95, 0.99])
+def test_ml_left_half_plane_against_mpmath(alpha, ml_mpmath):
+    z = (_ML_GRID_ABS[:, None] * np.exp(1j * _ML_GRID_ARG)).ravel()
+    z = z[np.abs(z) ** (1.0 / alpha) <= 100.0]
+    want = np.array([ml_mpmath(alpha, zz) for zz in z])
+    got = mittag_leffler(alpha, z)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    # Conjugate arguments give conjugate values.
+    np.testing.assert_allclose(mittag_leffler(alpha, z.conj()), want.conj(),
+                               rtol=0.0, atol=1e-12)
+
+
+def test_ml_half_complex_closed_form():
+    # E_{1/2}(z) = exp(z^2) erfc(-z) = wofz(-i z), poles included.
+    x = np.linspace(-6.0, 6.0, 41)
+    z = x[:, None] + 1j * x[None, :]
+    np.testing.assert_allclose(mittag_leffler(0.5, z), wofz(-1j * z),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_ml_array_contract():
+    assert type(mittag_leffler(0.6, -1.5)) is float
+    assert type(mittag_leffler(0.6, np.float64(-1.5))) is float
+    assert type(mittag_leffler(0.6, np.array(-1.5))) is float
+    assert type(mittag_leffler(0.6, -1.5 + 0.5j)) is complex
+    assert type(mittag_leffler(0.6, np.array(-1.5 + 0.5j))) is complex
+    z = np.array([[-3.0, -0.5, 0.0], [0.2, 2.0, -40.0]])
+    vals = mittag_leffler(0.6, z)
+    assert vals.shape == z.shape and vals.dtype == np.float64
+    for zz, v in zip(z.ravel(), vals.ravel()):
+        assert v == pytest.approx(mittag_leffler(0.6, float(zz)), rel=1e-14)
+    cvals = mittag_leffler(0.6, z[0] + 1j * z[1])
+    assert cvals.shape == (3,) and cvals.dtype == np.complex128
+    for real_shape in [(0,), (2, 0)]:
+        empty = mittag_leffler(0.6, np.zeros(real_shape))
+        assert empty.shape == real_shape and empty.dtype == np.float64
+    assert mittag_leffler(0.6, np.zeros(0, complex)).dtype == np.complex128
+    # Real arguments in a complex array give real values.
+    assert mittag_leffler(0.6, np.array([-2.0 + 0j]))[0].imag == 0.0
+
+
+def test_ml_positive_beyond_float_range_is_inf():
+    for alpha in [0.3, 0.8, 0.99]:
+        assert mittag_leffler(alpha, 1.0e300) == math.inf
+        vals = mittag_leffler(alpha, np.array([1.0e4, 1.0e300]))
+        assert np.all(vals == math.inf)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(1.0, math.nan)])
+def test_ml_non_finite_element_raises(bad):
+    z = np.array([-1.0, 0.5, bad, 2.0])
+    with pytest.raises(DomainError, match="mittag_leffler"):
+        mittag_leffler(0.7, z)
+    with pytest.raises(DomainError):
+        mittag_leffler(0.7, bad)
 
 
 # ----------------------------------------------------------------------------
