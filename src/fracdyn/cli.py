@@ -272,16 +272,15 @@ def _resolve_out(out: str) -> Path:
     return path
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
               extra_comments: Sequence[str] = ()) -> None:
+    """Write the comment header, the column names and ``rows``.
+
+    Every cell is written as ``str(cell)``: a float as its repr (the shortest
+    text that parses back to the same double), an int as its digits, a str
+    verbatim.  NumPy scalars print the same way; a float table is passed as
+    ``ndarray.tolist()``.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# artifact: fracdyn {__version__}\n")
@@ -290,8 +289,7 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
         fh.write(f"# columns: {','.join(columns)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        writer.writerows(map(str, row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +314,8 @@ def _cmd_exact(config: dict, out: Path, digest: str) -> int:
             q_asym[i] = asymptotic_Q(bath, float(t), regime)
     denom = float(np.dot(q_asym, q_asym))
     prefactor = float(np.dot(q, q_asym) / denom) if denom > 0.0 else 1.0
-    rows = [(t, q[i], math.exp(-q[i]), prefactor * q_asym[i],
-             math.exp(-prefactor * q_asym[i])) for i, t in enumerate(grid)]
+    rows = [(t, qt, math.exp(-qt), qa, math.exp(-qa)) for t, qt, qa
+            in zip(grid.tolist(), q.tolist(), (prefactor * q_asym).tolist())]
     _emit_csv(out, digest, ["t", "Q", "absu", "Q_asym", "absu_asym"], rows,
               extra_comments=[f"amplitude_prefactor: {prefactor!r}"])
     return 0
@@ -335,16 +333,14 @@ def _cmd_markov(config: dict, out: Path, digest: str) -> int:
     abs_exact = np.abs(exact.values)
     abs_markov = np.abs(markov.values)
     abs_tcl = np.abs(tcl.values)
-    rows = [
-        (t, exact.values[i].real, exact.values[i].imag, abs_exact[i],
-         abs_markov[i], abs_tcl[i], abs(abs_markov[i] - abs_exact[i]),
-         abs(abs_tcl[i] - abs_exact[i]))
-        for i, t in enumerate(grid)
-    ]
+    table = np.column_stack((grid, exact.values.real, exact.values.imag,
+                             abs_exact, abs_markov, abs_tcl,
+                             np.abs(abs_markov - abs_exact),
+                             np.abs(abs_tcl - abs_exact)))
     _emit_csv(out, digest,
               ["t", "re_u_exact", "im_u_exact", "abs_u_exact",
                "abs_u_markov", "abs_u_tcl", "dev_markov", "dev_tcl"],
-              rows, extra_comments=[f"gamma: {gamma!r}"])
+              table.tolist(), extra_comments=[f"gamma: {gamma!r}"])
     return 0
 
 
@@ -358,10 +354,10 @@ def _cmd_fracfit(config: dict, out: Path, digest: str) -> int:
     result = fit_fractional(exact, window, plateau=plateau, bath=bath)
     model = result.model(grid)
     abs_exact = np.abs(exact.values)
-    rows = [(t, abs_exact[i], model[i], abs(model[i] - abs_exact[i]))
-            for i, t in enumerate(grid)]
+    table = np.column_stack((grid, abs_exact, model,
+                             np.abs(model - abs_exact)))
     _emit_csv(out, digest,
-              ["t", "abs_u_exact", "abs_u_fit", "deviation"], rows)
+              ["t", "abs_u_exact", "abs_u_fit", "deviation"], table.tolist())
     json_path = out.with_suffix(".json")
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(result.to_json())
@@ -442,23 +438,26 @@ def _cmd_solve(config: dict, out: Path, digest: str) -> int:
         if "h_values" not in config:
             raise ConfigError("$.h_values: required in convergence mode")
         horizon = float(config["horizon"])
+        steps = [max(1, int(round(horizon / float(h))))
+                 for h in config["h_values"]]
+        if len(set(steps)) < len(steps):
+            raise ConfigError(
+                f"$.h_values: step counts {steps} over horizon {horizon!r} "
+                "repeat; each h must give its own step count")
         reference = ml_propagate(gen, alpha, horizon, init).entries
-        errors = []
-        for h in config["h_values"]:
-            n = max(1, int(round(horizon / float(h))))
+        rows = []
+        for n in steps:
             h_eff = horizon / n
             traj = fam_solve(gen, alpha, h_eff, n, init,
                              scheme=config["scheme"])
             err = float(np.max(np.abs(traj.final().entries - reference)))
-            errors.append((h_eff, err))
-        rows = []
-        for i, (h_eff, err) in enumerate(errors):
-            if i == 0:
-                rows.append((h_eff, err, ""))
-            else:
-                h_prev, e_prev = errors[i - 1]
+            # The observed order between consecutive runs; undefined on the
+            # first row and where an error is exactly 0.
+            order = ""
+            if rows and rows[-1][1] > 0.0 and err > 0.0:
+                h_prev, e_prev = rows[-1][:2]
                 order = math.log(e_prev / err) / math.log(h_prev / h_eff)
-                rows.append((h_eff, err, order))
+            rows.append((h_eff, err, order))
         _emit_csv(out, digest, ["h", "error", "order"], rows,
                   extra_comments=[f"horizon: {horizon!r}"])
         return 0
@@ -473,18 +472,8 @@ def _cmd_solve(config: dict, out: Path, digest: str) -> int:
     else:
         traj = fam_solve(gen, alpha, h, n_steps, init,
                          scheme=config["scheme"])
-    dim = gen.dim
-    columns = ["t"]
-    for r in range(dim):
-        for c in range(dim):
-            columns += [f"re_{r}{c}", f"im_{r}{c}"]
-    rows = []
-    for t, state in zip(traj.times(), traj.states):
-        row = [float(t)]
-        for entry in state.entries.reshape(-1):
-            row += [entry.real, entry.imag]
-        rows.append(tuple(row))
-    _emit_csv(out, digest, columns, rows)
+    columns, table = traj._matrix_table()
+    _emit_csv(out, digest, columns, table.tolist())
     return 0
 
 

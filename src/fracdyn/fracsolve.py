@@ -227,34 +227,37 @@ class FracTrajectory:
     def final(self):
         return self.states[-1]
 
+    def _matrix_table(self) -> Tuple[list, np.ndarray]:
+        """Column names and (N + 1, 1 + 2 d^2) float table of a matrix
+        trajectory: t, then re/im of the row-major state entries."""
+        d = self.states[0].dim
+        columns = ["t"] + [f"{part}_{i}{j}" for i in range(d)
+                           for j in range(d) for part in ("re", "im")]
+        stack = np.array([rho.entries for rho in self.states],
+                         dtype=np.complex128)
+        table = np.empty((len(stack), 1 + 2 * d * d))
+        table[:, 0] = self.times()
+        table[:, 1:] = stack.reshape(len(stack), -1).view(np.float64)
+        return columns, table
+
     def to_csv(self, path) -> None:
         """Write the trajectory as CSV.
 
         Scalar mode: header ``t,re_u,im_u,abs_u``.  Matrix mode: header
         ``t,re_00,im_00,...`` with row-major state entries.
         """
-        times = self.times()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             if self.is_scalar:
                 writer.writerow(["t", "re_u", "im_u", "abs_u"])
-                for t, u in zip(times, self.states):
+                for t, u in zip(self.times(), self.states):
                     z = complex(u)
                     writer.writerow([repr(float(t)), repr(z.real),
                                      repr(z.imag), repr(abs(z))])
             else:
-                d = self.states[0].dim
-                header = ["t"]
-                for i in range(d):
-                    for j in range(d):
-                        header += [f"re_{i}{j}", f"im_{i}{j}"]
-                writer.writerow(header)
-                for t, rho in zip(times, self.states):
-                    flat = vec(rho.entries)
-                    row = [repr(float(t))]
-                    for z in flat:
-                        row += [repr(float(z.real)), repr(float(z.imag))]
-                    writer.writerow(row)
+                columns, table = self._matrix_table()
+                writer.writerow(columns)
+                writer.writerows(table.tolist())
 
 
 # ----------------------------------------------------------------------------
@@ -266,20 +269,29 @@ class FracTrajectory:
 # right-hand sides g = M u are stored as rows of (N + 1, m) arrays.  Per-step
 # products use ndarray.dot, whose call overhead on these small operands is
 # well below that of the @ operator.
+#
+# The dense cores step in real form: each complex row is held as its (2m,)
+# float view (re, im interleaved) and each operator as its _real_form.  The
+# history weights are real, so the history dot is a real gemv over the
+# (n, 2m) float history, with half the flops of a complex one, and no step
+# converts between complex and float.
 
 # Steps composed into one affine map by the SOE core; fewer when the block's
 # rows, B (1 + (Q + 2) m) elements for m x m operators, would exceed
 # _SOE_ROWS_MAX (large d, where they grow like m^2).
 _SOE_BLOCK = 64
 _SOE_ROWS_MAX = 1 << 21
-# OpenBLAS hands complex dots longer than 10k elements to its thread pool;
-# one handoff per step costs far more than the dot itself (milliseconds on a
-# busy core), so long history sums are taken in shorter pieces.
-_DOT_CHUNK = 8192
+# Long history sums are taken in pieces of at most _DOT_CHUNK real elements,
+# so that no per-step gemv reaches OpenBLAS's thread pool: one handoff per
+# step costs far more than the dot itself (milliseconds on a busy core).
+# OpenBLAS 0.3.31 (numpy 2.4 wheels) hands a complex gemv of more than 9216
+# elements to the pool, but keeps a real gemv of these shapes on one thread
+# up to at least 400k elements.
+_DOT_CHUNK = 1 << 16
 
 
 def _history_dot(w, g):
-    """w @ g for a 1-D w and an (n, m) history g.
+    """w @ g for a 1-D real w and an (n, 2m) real history g.
 
     Taken in pieces of at most _DOT_CHUNK elements of g.
     """
@@ -290,46 +302,63 @@ def _history_dot(w, g):
                for i in range(0, len(w), rows))
 
 
+def _real_form(A):
+    """The real (2m, 2m) matrix that maps the float view of a complex
+    m-vector x to the float view of A x."""
+    m = len(A)
+    out = np.empty((2 * m, 2 * m))
+    out[0::2, 0::2] = A.real
+    out[0::2, 1::2] = -A.imag
+    out[1::2, 0::2] = A.imag
+    out[1::2, 1::2] = A.real
+    return out
+
+
 def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
     # StandardDFF: (I - pref M) u_{n+1} = u0 + pref * history.  The loop
     # advances r_{n+1} = (I - pref M) u_{n+1} and g only; u is recovered from
     # r in one product afterwards.
     left_inv = np.linalg.inv(np.eye(len(u0)) - pref * M)
-    ml = M @ left_inv
-    r = np.empty((n_steps + 1, len(u0)), dtype=np.complex128)
+    ml = _real_form(M @ left_inv)
+    r = np.empty((n_steps + 1, 2 * len(u0)))
     g = np.empty_like(r)
-    g[0] = M @ u0
-    base = u0 + (pref * oldest)[:, None] * g[0]
+    g0 = M @ u0
+    g[0] = g0.view(np.float64)
+    # r_{n+1} starts from its initial-point terms; step n adds the history.
+    r[1:] = (u0 + (pref * oldest)[:, None] * g0).view(np.float64)
     # vr[j] = v_{N-j}, so vr[N-n:N] weights g_1..g_n in one history dot.
-    vp = (pref * vr).astype(np.complex128)
+    vp = pref * vr
     big_n = len(vr) - 1
     for n in range(n_steps):
-        rn = base[n] + _history_dot(vp[big_n - n: big_n], g[1: n + 1])
-        r[n + 1] = rn
-        g[n + 1] = ml.dot(rn)
-    u = r @ left_inv.T
+        rn = r[n + 1]
+        rn += _history_dot(vp[big_n - n: big_n], g[1: n + 1])
+        ml.dot(rn, out=g[n + 1])
+    u = r.view(np.complex128) @ left_inv.T
     u[0] = u0
     return u
 
 
 def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
     # PaperPrinted: predict with b-weights, correct explicitly.
-    u = np.empty((n_steps + 1, len(u0)), dtype=np.complex128)
+    u = np.empty((n_steps + 1, 2 * len(u0)))
     g = np.empty_like(u)
-    u[0] = u0
-    g[0] = M @ u0
-    base = u0 + (pref * oldest)[:, None] * g[0]
-    pm = pref * M
-    vp = (pref * vr).astype(np.complex128)
-    bp = (pref * br).astype(np.complex128)
+    uf0 = u0.view(np.float64)
+    u[0] = uf0
+    g0 = M @ u0
+    g[0] = g0.view(np.float64)
+    u[1:] = (u0 + (pref * oldest)[:, None] * g0).view(np.float64)
+    mr = _real_form(M)
+    pm = pref * mr
+    vp = pref * vr
+    bp = pref * br
     big_n = len(vr) - 1
     for n in range(n_steps):
-        pred = u0 + _history_dot(bp[big_n - n: big_n + 1], g[: n + 1])
-        un = (base[n] + _history_dot(vp[big_n - n: big_n], g[1: n + 1])
-              + pm.dot(pred))
-        u[n + 1] = un
-        g[n + 1] = M.dot(un)
-    return u
+        pred = uf0 + _history_dot(bp[big_n - n: big_n + 1], g[: n + 1])
+        un = u[n + 1]
+        un += _history_dot(vp[big_n - n: big_n], g[1: n + 1])
+        un += pm.dot(pred)
+        mr.dot(un, out=g[n + 1])
+    return u.view(np.complex128)
 
 
 def _soe_core(M, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, n_steps):

@@ -16,9 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracdyn import cli
 from fracdyn.cli import main
 from fracdyn.errors import AccuracyError
 from fracdyn.fitting import FitResult
+from fracdyn.fracsolve import fam_solve
+from fracdyn.lindblad import generator_from_json, plus_state
 from fracdyn.specfun import mittag_leffler
 from fracdyn.spinboson import BathSpec, dephasing_Q
 
@@ -431,6 +434,32 @@ class TestSolve:
         orders = [float(r[2]) for r in rows[1:]]
         assert all(p >= 1.35 for p in orders)
 
+    @pytest.mark.parametrize("h_values, horizon", [
+        ([0.01, 0.01], 1.0),
+        ([5.0, 2.0], 1.0),  # both round to one step
+    ])
+    def test_convergence_mode_rejects_repeated_step_counts(
+            self, tmp_path, capsys, h_values, horizon):
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.6, "mode": "convergence", "horizon": horizon,
+               "h_values": h_values}
+        code, out = run(tmp_path, doc)
+        assert code == 2
+        assert "$.h_values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_mode_zero_error_leaves_order_empty(self, tmp_path):
+        # No Hamiltonian and no channels: the state never moves, and at
+        # alpha = 1 every run reproduces the reference exactly.
+        gen = {"dim": 2, "hamiltonian": [[0.0, 0.0]] * 4, "channels": []}
+        doc = {"command": "solve", "generator": gen, "alpha": 1.0,
+               "mode": "convergence", "h_values": [0.02, 0.01, 0.005]}
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        _, header, rows = read_csv(out)
+        assert [r[1] for r in rows] == ["0.0"] * 3
+        assert [r[2] for r in rows] == [""] * 3
+
     def test_convergence_mode_requires_h_values(self, tmp_path):
         doc = {"command": "solve", "generator": DEPHASING_GEN,
                "alpha": 0.6, "mode": "convergence"}
@@ -455,6 +484,62 @@ class TestSolve:
         assert code == 0
         _, header, rows = read_csv(out)
         assert column(header, rows, "re_00").tolist() == [1.0] * 6
+
+
+# The CSV cell text before the array emitter: str for strings, digits for
+# Python and NumPy integers, repr(float(x)) for everything else.
+def _reference_cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+class TestCsvCells:
+    def test_mixed_row_text(self, tmp_path):
+        row = ("", 3, np.int64(-12), np.float64(0.1), -0.0, 5e-324,
+               math.inf, 1e16, np.float64(-2.5e-7))
+        path = tmp_path / "cells.csv"
+        cli._emit_csv(path, "abc", [f"c{i}" for i in range(len(row))],
+                      [row], extra_comments=["note: x"])
+        lines = path.read_text().split("\n")
+        assert lines[:3] == ["# config_digest: abc",
+                             f"# artifact: fracdyn {cli.__version__}",
+                             "# note: x"]
+        assert lines[-2] == ",".join(_reference_cell(c) for c in row)
+        assert lines[-2] == ",3,-12,0.1,-0.0,5e-324,inf,1e+16,-2.5e-07"
+        assert lines[-1] == ""
+
+    def test_trajectory_cells_parse_back_exactly(self, tmp_path):
+        gen = {"dim": 2,
+               "hamiltonian": [[0.35, 0.0], [0.1, -0.2], [0.1, 0.2],
+                               [-0.35, 0.0]],
+               "channels": [{"jump": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0],
+                                      [0.0, 0.0]], "rate": 0.6}]}
+        doc = {"command": "solve", "generator": gen, "alpha": 0.7,
+               "h": 0.01, "n_steps": 150}
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        _, header, rows = read_csv(out)
+        traj = fam_solve(generator_from_json(gen), 0.7, 0.01, 150,
+                         plus_state())
+        want = [[float(t)] + [x for z in state.entries.ravel()
+                              for x in (z.real, z.imag)]
+                for t, state in zip(traj.times(), traj.states)]
+        got = np.array([[float(cell) for cell in row] for row in rows])
+        want = np.array(want)
+        assert got.shape == (151, 9) and len(header) == 9
+        assert np.any(want[:, 2::2] != 0.0)
+        assert got == pytest.approx(want, abs=0.0, rel=0.0)
+
+    def test_subordinate_integer_columns(self, tmp_path):
+        code, out = run(tmp_path, SUB_DOC)
+        assert code == 0
+        _, header, rows = read_csv(out)
+        for name in ("n_samples", "seed"):
+            cells = [r[header.index(name)] for r in rows]
+            assert all(c.isdigit() for c in cells), cells
 
 
 class TestPlumbing:

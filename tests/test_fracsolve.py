@@ -390,13 +390,17 @@ class TestMatrixSolve:
     @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
     def test_chunked_history_matches_loop_reference(self, monkeypatch,
                                                     scheme):
-        # A 40-element chunk splits the (n, d^2) history dots into pieces of
-        # 10 (d = 2) and 4 (d = 3) rows.
+        # A 40-element chunk splits the (n, 2 d^2) float histories into
+        # pieces of 5 (d = 2) and 2 (d = 3) rows, and the (n, 2) scalar
+        # history into pieces of 20 rows.  Each flow patches the cores in
+        # its own context, so every flow runs the chunked cores first.
         monkeypatch.setattr(fracsolve, "_DOT_CHUNK", 40)
-        for gen, init in MATRIX_FLOWS.values():
-            _assert_rounding_close(*_fast_and_reference(
-                monkeypatch,
-                lambda: fam_solve(gen, 0.6, 0.01, 130, init, scheme)))
+        flows = list(MATRIX_FLOWS.values()) + [(1.0 - 0.8j, 0.5)]
+        for gen, init in flows:
+            with monkeypatch.context() as patch:
+                _assert_rounding_close(*_fast_and_reference(
+                    patch,
+                    lambda: fam_solve(gen, 0.6, 0.01, 130, init, scheme)))
 
     def test_matrix_validation(self):
         gen = dephasing_qubit(0.0, 0.5)
