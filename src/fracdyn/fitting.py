@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import DomainError, NonConvergenceError, ValidationError
 from .specfun import FractionalOrder, mittag_leffler
@@ -189,6 +188,8 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
     If the evaluation budget is exhausted before the simplex converges, the
     best point so far is returned with ``converged=False``.
     """
+    from scipy.optimize import minimize
+
     if max_evaluations < 1:
         raise ValidationError("max_evaluations must be positive")
     u_inf = _resolve_plateau(target, plateau, bath)
@@ -305,6 +306,8 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
     bracketed in ln lambda (the left side is strictly monotone in lambda)
     and solved to 1e-10 in the function value.
     """
+    from scipy.optimize import brentq
+
     a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
     if not (0.0 < a <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {a}")

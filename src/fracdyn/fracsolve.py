@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
-from scipy.special import gamma as _sc_gamma
 
 from .errors import DomainError, NumericalInstabilityError, ValidationError
 from .kernels import SOEKernel, _coerce_enum
@@ -546,6 +545,8 @@ def fam_solve(
     positive scalar rate lambda (scalar mode, L -> multiplication by -lambda).
     Returns the trajectory at t_n = n h for n = 0..N.
     """
+    from scipy.special import gamma
+
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     a, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
     order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(a)
@@ -553,12 +554,12 @@ def fam_solve(
 
     if scheme is WeightScheme.StandardDFF:
         v, oldest = _interior_weights_standard(a, n_steps)
-        pref = h**a / _sc_gamma(a + 2.0)
+        pref = h**a / gamma(a + 2.0)
         # vr[j] = v_{n_steps - j}: a contiguous copy for the history dot.
         u = _dense_implicit_core(M, u0, pref, v[::-1].copy(), oldest, n_steps)
     else:
         v, oldest = _interior_weights_paper(a, n_steps)
-        pref = h**a / _sc_gamma(1.0 + a)
+        pref = h**a / gamma(1.0 + a)
         b = predictor_weights(scheme, a, n_steps)
         u = _dense_explicit_core(M, u0, pref, v[::-1].copy(), oldest,
                                  b[::-1].copy(), n_steps)
@@ -581,6 +582,8 @@ def fam_solve_soe(
     the piecewise-linear product integral that underlies those weights) and a
     :class:`~fracdyn.kernels.SOEKernel` valid on [h, N h] at matching alpha.
     """
+    from scipy.special import gamma
+
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     if scheme is not WeightScheme.StandardDFF:
         raise ValidationError("fam_solve_soe supports the StandardDFF scheme only")
@@ -602,13 +605,13 @@ def fam_solve_soe(
         eh = np.exp(-xi * h)
     phi0, phi1 = _soe_phi_weights(xi, h)
 
-    pref = h**a / _sc_gamma(a + 2.0)
+    pref = h**a / gamma(a + 2.0)
     if a == 1.0:
         # K == 1: the near-field product integrals reduce to trapezoid cells.
         a2 = 0.5 * h
         b2 = 0.5 * h
     else:
-        ha_g = h**a / _sc_gamma(a)
+        ha_g = h**a / gamma(a)
         a2 = ha_g * (2.0 * (2.0**a - 1.0) / a
                      - (2.0 ** (a + 1.0) - 1.0) / (a + 1.0))
         b2 = ha_g * ((2.0 ** (a + 1.0) - 1.0) / (a + 1.0)

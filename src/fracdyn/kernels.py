@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import gamma as _sc_gamma, rgamma as _sc_rgamma
 
 from .errors import AccuracyError, DomainError, ValidationError
 from .specfun import FractionalOrder, _alpha_value
@@ -81,6 +80,8 @@ def kernel_eval(
     kernels are singular at the origin, so ``t <= 0`` raises
     :class:`~fracdyn.errors.DomainError`.
     """
+    from scipy.special import rgamma
+
     kind = _coerce_enum(KernelKind, kind, "kernel kind")
     a = _alpha_value(alpha)
     t_arr = np.asarray(t, dtype=float)
@@ -89,11 +90,11 @@ def kernel_eval(
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr <= 0.0):
         raise DomainError("kernel_eval requires finite t > 0")
     if kind is KernelKind.CaputoInner:
-        vals = t_arr ** (-a) * _sc_rgamma(1.0 - a)
+        vals = t_arr ** (-a) * rgamma(1.0 - a)
     elif kind is KernelKind.Volterra:
-        vals = t_arr ** (a - 1.0) * _sc_rgamma(a)
+        vals = t_arr ** (a - 1.0) * rgamma(a)
     else:
-        vals = t_arr ** (a - 2.0) * _sc_rgamma(a - 1.0)
+        vals = t_arr ** (a - 2.0) * rgamma(a - 1.0)
     if np.ndim(t) == 0:
         return float(vals)
     return vals
@@ -206,6 +207,8 @@ def soe_compress(
     degenerate).  Raises :class:`~fracdyn.errors.AccuracyError` carrying the
     best achieved error if the tolerance cannot be met within 256 terms.
     """
+    from scipy.special import gamma
+
     a = _alpha_value(alpha)
     if not (0.0 < t_min <= t_max) or not math.isfinite(t_max):
         raise DomainError("soe_compress requires 0 < t_min <= t_max, finite")
@@ -229,7 +232,7 @@ def soe_compress(
     for attempt in range(6):
         shrink = 4.0**attempt
         tol_c = tol / (8.0 * shrink)
-        c = min(0.5, math.sqrt(24.0 * tol_c * _sc_gamma(1.0 - a)))
+        c = min(0.5, math.sqrt(24.0 * tol_c * gamma(1.0 - a)))
         big = math.log(8.0 / tol) + 8.0 + 3.0 * attempt
         h_req = math.pi**2 / math.log(50.0 * shrink / tol)
         m = max(1, int(math.ceil(math.log(2.0) / h_req)))

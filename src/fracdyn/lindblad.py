@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .errors import DomainError, NumericalInstabilityError, ValidationError
 
@@ -258,6 +257,8 @@ def semigroup_apply(
     superop: Superoperator, u: float, rho: DensityMatrix
 ) -> DensityMatrix:
     """Propagate ``rho`` by ``expm(u M)`` and re-validate the result."""
+    from scipy.linalg import expm
+
     u = float(u)
     if not math.isfinite(u) or u < 0.0:
         raise DomainError("semigroup time u must be finite and >= 0")
@@ -265,7 +266,7 @@ def semigroup_apply(
         raise ValidationError("state and superoperator dimensions differ")
     if u == 0.0:
         return rho
-    phi = _expm(u * superop.matrix)
+    phi = expm(u * superop.matrix)
     out = unvec(phi @ vec(rho.entries), superop.dim)
     worst = float(max(_density_defects(out)))
     if worst > _FLOW_FAIL_TOL:
@@ -301,7 +302,9 @@ def cptp_diagnostics(
         u = float(u)
         if not math.isfinite(u) or u < 0.0:
             raise DomainError("diagnostic time u must be finite and >= 0")
-        phi = _expm(u * superop.matrix)
+        from scipy.linalg import expm
+
+        phi = expm(u * superop.matrix)
     # Trace defect: tr Phi(E_ij) must equal delta_ij.
     traces = vec(np.eye(d)) @ phi
     trace_defect = float(np.max(np.abs(traces - vec(np.eye(d)))))

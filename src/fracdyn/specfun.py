@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError
 
@@ -83,12 +82,14 @@ def gamma_fn(x: float) -> float:
     Raises :class:`DomainError` at the poles (x = 0, -1, -2, ...); overflow
     for large positive x returns ``inf`` silently.
     """
+    from scipy.special import gamma
+
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"gamma_fn expects a finite argument, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"gamma_fn pole at non-positive integer x = {x:g}")
-    return float(_sp.gamma(x))
+    return float(gamma(x))
 
 
 def ml_partial_sum(alpha, z: float, n_terms: int) -> tuple[float, float]:
@@ -99,13 +100,15 @@ def ml_partial_sum(alpha, z: float, n_terms: int) -> tuple[float, float]:
     The bound dominates the remainder for ``|z| <= 1`` and is the standard
     first-omitted-term estimate otherwise.
     """
+    from scipy.special import rgamma
+
     a = _alpha_value(alpha)
     z = float(z)
     n = int(n_terms)
     if n < 0:
         raise DomainError("n_terms must be >= 0")
-    terms = [z**k * _sp.rgamma(a * k + 1.0) for k in range(n + 1)]
-    bound = abs(z) ** (n + 1) * _sp.rgamma(a * (n + 1) + 1.0)
+    terms = [z**k * rgamma(a * k + 1.0) for k in range(n + 1)]
+    bound = abs(z) ** (n + 1) * rgamma(a * (n + 1) + 1.0)
     return math.fsum(terms), float(bound)
 
 
@@ -290,21 +293,23 @@ def _mw_series_coeffs(a: float):
     scales like 70/(1-a): admissible rows peak at index <= ~7/(1-a) and the
     tail decays as exp(-(1-a) n ln n).
     """
+    from scipy.special import gammaln
+
     n = np.arange(min(40000, int(80 + 70.0 / (1.0 - a))))
     w = 1.0 - a - a * n
     ln_rg = np.empty(w.shape)
     sgn = np.empty(w.shape)
     pos = w > 0
-    ln_rg[pos] = -_sp.gammaln(w[pos])
+    ln_rg[pos] = -gammaln(w[pos])
     sgn[pos] = 1.0
     neg = ~pos
     r = w[neg] - np.round(w[neg])
     sin_r = np.sin(math.pi * r)
     with np.errstate(divide="ignore"):
-        ln_rg[neg] = _sp.gammaln(1.0 - w[neg]) + np.log(np.abs(sin_r)) - math.log(math.pi)
+        ln_rg[neg] = gammaln(1.0 - w[neg]) + np.log(np.abs(sin_r)) - math.log(math.pi)
     sgn[neg] = np.sign(sin_r) * np.where(np.round(w[neg]) % 2 == 0, 1.0, -1.0)
     sgn *= np.where(n % 2 == 0, 1.0, -1.0)  # (-z)^n alternation
-    ln_fact = _sp.gammaln(n + 1.0)
+    ln_fact = gammaln(n + 1.0)
     return n, ln_rg, sgn, ln_fact
 
 
@@ -314,12 +319,14 @@ def _mw_series_batch(a: float, z: np.ndarray):
     A row is admissible when the largest |term| stays below the cancellation
     budget; the cached series length is enough for every admissible row.
     """
+    from scipy.special import rgamma
+
     z = np.asarray(z, dtype=float)
     n, ln_rg, sgn, ln_fact = _mw_series_coeffs(a)
     vals = np.full(z.shape, np.nan)
     ok = np.zeros(z.shape, dtype=bool)
     zero = z == 0.0
-    vals[zero] = _sp.rgamma(1.0 - a)
+    vals[zero] = rgamma(1.0 - a)
     ok[zero] = True
     pos = ~zero
     if np.any(pos):

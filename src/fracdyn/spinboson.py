@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError, ValidationError
 
@@ -129,6 +128,8 @@ def _breakpoints(bath: BathSpec, t: float, lo: float, hi: float) -> Optional[lis
 
 def _quad_checked(func, lo, hi, *, what: str, points=None, weight=None,
                   wvar=None) -> float:
+    from scipy.integrate import quad
+
     kwargs = dict(epsabs=_EPS_Q, epsrel=_EPS_Q, limit=_QUAD_LIMIT,
                   full_output=1)
     if weight is not None:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import expm as _expm
 
 from .errors import (
     AccuracyError,
@@ -217,6 +216,8 @@ def _subordinated_matrix(
     clock = OperationalClock(FractionalOrder(a), t)
     u_max = t**a * _tail_cutoff(a, quad.tail_mass)
     spectral = _spectral_factors(M)
+    if spectral is None:
+        from scipy.linalg import expm
     prev = None
     n_panels = quad.start_panels
     for _ in range(quad.max_doublings + 1):
@@ -232,7 +233,7 @@ def _subordinated_matrix(
         else:  # defective generator: direct matrix exponentials
             cur = np.zeros_like(M)
             for uk, ck in zip(u, coeff):
-                cur += ck * _expm(uk * M)
+                cur += ck * expm(uk * M)
         if prev is not None and np.max(np.abs(cur - prev)) <= quad.agree_tol:
             return cur
         prev = cur
@@ -334,9 +335,11 @@ def trajectory_estimate(
         with np.errstate(over="ignore", under="ignore"):
             vals = (np.exp(np.outer(u, evals)) * c).sum(axis=1)
     else:
+        from scipy.linalg import expm
+
         vals = np.empty(n_samples, dtype=complex)
         for k, uk in enumerate(u):
-            vals[k] = o_row @ (_expm(uk * M) @ rho0)
+            vals[k] = o_row @ (expm(uk * M) @ rho0)
     real_vals = vals.real
     mean = float(np.mean(real_vals))
     std = float(np.std(real_vals, ddof=1))

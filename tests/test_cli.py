@@ -1,13 +1,14 @@
 """End-to-end tests for the reproduction CLI.
 
 Commands are exercised in-process through ``main`` so that exit codes,
-stderr messages, and artifact bytes can be asserted directly; one subprocess
-smoke test covers the installed console script.
+stderr messages, and artifact bytes can be asserted directly; subprocess
+tests cover the console script and the scipy imports deferred to first use.
 """
 
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -26,6 +27,7 @@ from fracdyn.specfun import mittag_leffler
 from fracdyn.spinboson import BathSpec, dephasing_Q
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+SRC = Path(__file__).resolve().parents[1] / "src"
 DEPHASING_GEN = {
     "dim": 2,
     "hamiltonian": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -619,3 +621,86 @@ class TestPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert out.exists()
+
+
+# Runs ``main(argv)`` and prints the public scipy subpackages it loaded.
+_FRESH_CLI = """
+import json, sys
+from fracdyn.cli import main
+code = main(sys.argv[1:])
+subpackages = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+print(json.dumps(sorted(p for p in subpackages if not p.startswith("_"))))
+sys.exit(code)
+"""
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter on this tree's fracdyn."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
+def fresh_cli(command, config, out, *extra):
+    """Run one CLI command in a new interpreter; the scipy subpackages it
+    loaded."""
+    proc = fresh_python("-c", _FRESH_CLI, command, "--config", str(config),
+                        "--out", str(out), *extra)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestDeferredScipy:
+    """Each scipy submodule is imported by the call that needs it.  Every
+    in-process test runs after some test module has imported scipy, so a
+    missing deferred import only shows in a new interpreter."""
+
+    def test_import_loads_no_scipy(self):
+        proc = fresh_python(
+            "-c", "import sys, fracdyn, fracdyn.cli; print(sorted(m for m in "
+            "sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("stem", ["exact_short_time", "markov_vs_exact"])
+    def test_zero_temperature_bath_loads_no_scipy(self, tmp_path, stem):
+        cfg = DEMOS / "configs" / f"{stem}.json"
+        command = json.loads(cfg.read_text())["command"]
+        assert fresh_cli(command, cfg, tmp_path / "out.csv") == []
+
+    def test_fracfit_first_use(self, tmp_path):
+        stem = "fracfit_super_ohmic"
+        loaded = fresh_cli("fracfit", DEMOS / "configs" / f"{stem}.json",
+                           tmp_path / f"{stem}.csv")
+        assert "optimize" in loaded
+        got = json.loads((tmp_path / f"{stem}.json").read_text())
+        want = json.loads((DEMOS / "output" / f"{stem}.json").read_text())
+        for key in ("alpha", "lambda"):
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-6,
+                                       atol=0.0, err_msg=key)
+
+    def test_subordinate_first_use_in_pool_threads(self, tmp_path):
+        # With two threads the first scipy.special import happens in both
+        # pool workers at once.
+        out = tmp_path / "subordinate_mc.csv"
+        loaded = fresh_cli("subordinate", DEMOS / "configs" / "subordinate_mc.json",
+                           out, "--threads", "2")
+        assert "special" in loaded
+        _, header, rows = read_csv(out)
+        _, want_header, want_rows = read_csv(DEMOS / "output" / "subordinate_mc.csv")
+        for name in ("t", "obs_quad", "obs_ml"):
+            np.testing.assert_allclose(column(header, rows, name),
+                                       column(want_header, want_rows, name),
+                                       rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_finite_temperature_exact_first_use(self, tmp_path):
+        doc = {"command": "exact", "bath": {"eta": 1, "chi": 1.5, "beta": 2},
+               "grid": {"t_min": 0.5, "t_max": 5, "n_points": 10},
+               "regime": "super_ohmic"}
+        cfg = write_config(tmp_path, doc)
+        loaded = fresh_cli("exact", cfg, tmp_path / "fresh.csv")
+        assert "integrate" in loaded
+        assert main(["exact", "--config", cfg, "--out",
+                     str(tmp_path / "warm.csv")]) == 0
+        assert ((tmp_path / "fresh.csv").read_bytes()
+                == (tmp_path / "warm.csv").read_bytes())
