@@ -5,19 +5,22 @@ Closed-form references used throughout (eta, omega_c arbitrary, beta = inf):
     chi == 1:  Q(t) = (eta/pi) ln(1 + w_c^2 t^2)
     C(t) = (2/pi) eta Gamma(chi+1) w_c^2 Re (1 - i w_c t)^(-(chi+1))
 obtained by evaluating the defining integrals analytically.  The library
-evaluates these forms itself at beta = inf, so they are also checked against
-50-digit mpmath and against the adaptive quadrature that finite beta uses.
+evaluates these forms itself, at finite beta summed term by term over
+coth(beta w / 2) = 1 + 2 sum_n e^{-n beta w}.  So they are checked against
+three references independent of that sum: 50-digit mpmath at beta = inf,
+the Hurwitz-zeta form of the thermal sum in mpmath (the ``thermal_q_mpmath``
+and ``thermal_c_mpmath`` fixtures of conftest.py), and the adaptive
+quadrature of the defining integrals below, which converges where it is used.
 """
 
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
 
-from fracdyn.errors import DomainError, ValidationError
+from fracdyn.errors import AccuracyError, DomainError, ValidationError
 from fracdyn.spinboson import (
-    _c_quadrature,
-    _q_quadrature,
     AsymptoticRegime,
     BathSpec,
     CoherenceSeries,
@@ -45,6 +48,151 @@ def c_closed(chi, t, eta=1.0, wc=1.0):
 
 
 OHMIC = BathSpec(1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature reference: the defining integrals at any beta, one adaptive
+# QUADPACK quadrature per time point.  At finite beta it stops converging for
+# sub-Ohmic baths at moderate t (chi = 0.5, beta = 1 from t = 20 on).
+# ---------------------------------------------------------------------------
+
+# Truncate the exponential cutoff at this many multiples of omega_c
+# (e^-60 ~ 9e-27, far below every quadrature tolerance used here).
+_CUTOFF_MULT = 60.0
+# Above this many radians of total phase, split off the cosine part and use
+# a dedicated oscillatory (Clenshaw-Curtis moment) quadrature.
+_OSC_SWITCH = 40.0
+_EPS_Q = 1e-13
+_QUAD_LIMIT = 500
+
+
+def _coth_half(beta: float, omega: float) -> float:
+    """coth(beta * omega / 2), with the zero-T limit and small-argument series."""
+    if math.isinf(beta):
+        return 1.0
+    x = 0.5 * beta * omega
+    if x > 20.0:
+        return 1.0
+    if x < 1e-8:
+        return 1.0 / x + x / 3.0
+    return 1.0 / math.tanh(x)
+
+
+def _one_minus_cos_over_w2(omega: float, t: float) -> float:
+    """(1 - cos(omega t)) / omega^2 evaluated without cancellation."""
+    x = 0.5 * omega * t
+    if abs(x) < 1e-6:
+        return 0.5 * t * t * (1.0 - x * x / 3.0)
+    s = math.sin(x)
+    return 2.0 * s * s / (omega * omega)
+
+
+def _breakpoints(bath: BathSpec, t: float, lo: float, hi: float) -> Optional[list]:
+    pts = {bath.omega_c}
+    if t > 0.0:
+        pts.add(1.0 / t)
+    if not math.isinf(bath.beta):
+        pts.add(2.0 / bath.beta)
+    inside = sorted(p for p in pts if lo < p < hi)
+    return inside or None
+
+
+def _quad_checked(func, lo, hi, *, what: str, points=None, weight=None,
+                  wvar=None) -> float:
+    from scipy.integrate import quad
+
+    kwargs = dict(epsabs=_EPS_Q, epsrel=_EPS_Q, limit=_QUAD_LIMIT,
+                  full_output=1)
+    if weight is not None:
+        kwargs["weight"] = weight
+        kwargs["wvar"] = wvar
+    elif points is not None:
+        kwargs["points"] = points
+    out = quad(func, lo, hi, **kwargs)
+    val, err = out[0], out[1]
+    if len(out) > 3 or not math.isfinite(val):
+        raise AccuracyError(f"{what}: quadrature did not converge",
+                            achieved=err)
+    if err > 1e-9:
+        raise AccuracyError(
+            f"{what}: quadrature error estimate {err:.2e} exceeds tolerance",
+            achieved=err)
+    return val
+
+
+def _j_scalar(bath: BathSpec):
+    """Scalar fast path for J(w): a plain-math closure for quadrature loops."""
+    amp = bath.eta * bath.omega_c ** (1.0 - bath.chi)
+    chi = bath.chi
+    inv_wc = 1.0 / bath.omega_c
+
+    def j(w: float) -> float:
+        return amp * w**chi * math.exp(-w * inv_wc)
+
+    return j
+
+
+def _q_quadrature(bath: BathSpec, t: float) -> float:
+    """Q(t) at one time ``t >= 0`` by adaptive quadrature (any beta)."""
+    if t == 0.0:
+        return 0.0
+    big = _CUTOFF_MULT * bath.omega_c
+    pref = 2.0 / math.pi
+    jay = _j_scalar(bath)
+    beta = bath.beta
+
+    def combined(w: float) -> float:
+        if w <= 0.0:
+            return 0.0
+        return (pref * jay(w)
+                * _one_minus_cos_over_w2(w, t) * _coth_half(beta, w))
+
+    if t * big <= _OSC_SWITCH:
+        val = _quad_checked(combined, 0.0, big, what="dephasing_Q",
+                            points=_breakpoints(bath, t, 0.0, big))
+    else:
+        # Many oscillations: near field with the combined integrand, then
+        # mean part minus a cosine-weighted oscillatory integral.
+        split = 1.0 / t
+
+        def mean_part(w: float) -> float:
+            return pref * jay(w) / (w * w) * _coth_half(beta, w)
+
+        val = _quad_checked(combined, 0.0, split, what="dephasing_Q")
+        val += _quad_checked(mean_part, split, big, what="dephasing_Q",
+                             points=_breakpoints(bath, t, split, big))
+        val -= _quad_checked(mean_part, split, big, what="dephasing_Q",
+                             weight="cos", wvar=t)
+    if val < 0.0:
+        if val < -1e-9:
+            raise AccuracyError(f"dephasing_Q produced negative value {val}")
+        return 0.0
+    return val
+
+
+def _c_quadrature(bath: BathSpec, t: float) -> float:
+    """C(t) at one time ``t >= 0`` by oscillatory quadrature (any beta)."""
+    big = _CUTOFF_MULT * bath.omega_c
+    pref = 2.0 / math.pi
+    jay = _j_scalar(bath)
+    beta = bath.beta
+
+    def envelope(w: float) -> float:
+        if w <= 0.0:
+            return 0.0
+        return pref * jay(w) * _coth_half(beta, w)
+
+    if t * big <= _OSC_SWITCH:
+        val = _quad_checked(lambda w: envelope(w) * math.cos(w * t), 0.0, big,
+                            what="bath_correlation",
+                            points=_breakpoints(bath, t, 0.0, big))
+    else:
+        split = 1.0 / t
+        val = _quad_checked(lambda w: envelope(w) * math.cos(w * t), 0.0,
+                            split, what="bath_correlation")
+        val += _quad_checked(envelope, split, big, what="bath_correlation",
+                             weight="cos", wvar=t)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +281,12 @@ KERNEL_CHIS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0]
 # the small-t end exercises the cancellation the closed form must avoid.
 KERNEL_TIMES = np.geomspace(1e-5, 1e4, 19)
 WARM = BathSpec(0.8, 1.0, 1.3, beta=2.0)
+# Finite-temperature baths and times at which the quadrature reference
+# converges.
+QUAD_WARM = {"warm": WARM,
+             "chi0.8-beta5": BathSpec(1.0, 0.8, 1.0, beta=5.0),
+             "chi1.5-beta2-wc2": BathSpec(1.0, 1.5, 2.0, beta=2.0)}
+QUAD_WARM_TIMES = np.concatenate(([0.0], np.geomspace(1e-3, 700.0, 13)))
 
 
 def q_mpmath(chi, t, eta=1.0, wc=1.0):
@@ -149,7 +303,7 @@ def q_mpmath(chi, t, eta=1.0, wc=1.0):
 
 
 class TestDephasingQKernel:
-    """The batch kernel: closed form at beta = inf, quadrature loop else."""
+    """The batch kernel: one closed form at every beta, on whole arrays."""
 
     @pytest.mark.parametrize("chi", KERNEL_CHIS)
     def test_closed_form_against_mpmath(self, chi):
@@ -165,11 +319,14 @@ class TestDephasingQKernel:
         want = np.array([q_mpmath(chi, t, eta=0.7, wc=2.0) for t in times])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("chi", KERNEL_CHIS)
-    def test_closed_form_against_quadrature(self, chi):
-        bath = BathSpec(1.0, chi, 1.0)
-        quad = np.array([_q_quadrature(bath, float(t)) for t in KERNEL_TIMES])
-        np.testing.assert_allclose(dephasing_Q(bath, KERNEL_TIMES), quad,
+    @pytest.mark.parametrize("bath, times", [
+        *[pytest.param(BathSpec(1.0, chi, 1.0), KERNEL_TIMES, id=str(chi))
+          for chi in KERNEL_CHIS],
+        *[pytest.param(bath, QUAD_WARM_TIMES, id=name)
+          for name, bath in QUAD_WARM.items()]])
+    def test_closed_form_against_quadrature(self, bath, times):
+        quad = np.array([_q_quadrature(bath, float(t)) for t in times])
+        np.testing.assert_allclose(dephasing_Q(bath, times), quad,
                                    rtol=1e-10, atol=1e-10)
 
     def test_scalar_returns_float(self):
@@ -209,14 +366,71 @@ class TestDephasingQKernel:
             dephasing_Q(bath, bad)
 
     def test_finite_beta_array_equals_scalar_loop(self):
-        # Finite beta keeps the quadrature: the array route is the scalar
-        # route element by element, bit for bit.
-        times = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 700.0])
+        # The thermal series is summed elementwise: an array call is the
+        # scalar call element by element, bit for bit.
+        times = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 700.0, 1e8])
         for bath in (WARM, BathSpec(1.0, 0.8, 1.0, beta=5.0),
-                     BathSpec(1.0, 1.5, 2.0, beta=0.5)):
-            loop = [_q_quadrature(bath, float(t)) for t in times]
-            assert dephasing_Q(bath, times).tolist() == loop
-            assert [dephasing_Q(bath, float(t)) for t in times] == loop
+                     BathSpec(1.0, 1.5, 2.0, beta=0.5),
+                     BathSpec(1.0, 0.5, 1.0, beta=1.0)):
+            for func in (dephasing_Q, bath_correlation):
+                loop = [func(bath, float(t)) for t in times]
+                assert func(bath, times).tolist() == loop
+
+
+# The thermal series against its Hurwitz-zeta form: sub-Ohmic to
+# super-Ohmic, both sides of the poles at chi = 1 and 2, hot to cold.
+THERMAL_CHIS = [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0]
+THERMAL_BATHS = [(1.0, 1.0, 1e-3), (0.7, 2.0, 1.0), (1.0, 0.5, 50.0),
+                 (1.0, 1.0, 1e6)]  # (eta, omega_c, beta)
+THERMAL_TIMES = np.geomspace(1e-8, 1e8, 9)
+
+
+class TestThermalSeries:
+    """Finite beta: the zero-temperature form summed over the thermal
+    occupation series, eleven terms directly and the rest by
+    Euler-Maclaurin."""
+
+    @pytest.mark.parametrize("chi", THERMAL_CHIS)
+    def test_q_against_mpmath(self, chi, thermal_q_mpmath):
+        for eta, wc, beta in THERMAL_BATHS:
+            bath = BathSpec(eta, chi, wc, beta=beta)
+            want = [thermal_q_mpmath(bath, t) for t in THERMAL_TIMES]
+            np.testing.assert_allclose(dephasing_Q(bath, THERMAL_TIMES), want,
+                                       rtol=1e-13, atol=0.0,
+                                       err_msg=f"beta={beta}")
+
+    @pytest.mark.parametrize("chi", THERMAL_CHIS)
+    def test_c_against_mpmath(self, chi, thermal_c_mpmath):
+        for eta, wc, beta in THERMAL_BATHS:
+            bath = BathSpec(eta, chi, wc, beta=beta)
+            want = [thermal_c_mpmath(bath, t) for t in THERMAL_TIMES]
+            c0 = thermal_c_mpmath(bath, 0.0)
+            np.testing.assert_allclose(bath_correlation(bath, THERMAL_TIMES),
+                                       want, rtol=0.0, atol=1e-14 * abs(c0),
+                                       err_msg=f"beta={beta}")
+
+    @pytest.mark.parametrize("chi, beta", [(0.5, 1.0), (0.5, 5.0),
+                                           (0.5, 50.0), (0.3, 1.0)])
+    def test_sub_ohmic_late_times(self, chi, beta, thermal_q_mpmath):
+        # The quadrature reference stops converging here from t = 10 to 700
+        # on; the closed form stays finite, increasing and exact.
+        bath = BathSpec(1.0, chi, 1.0, beta=beta)
+        times = np.linspace(0.0, 1e3, 401)
+        q = dephasing_Q(bath, times)
+        assert np.all(np.isfinite(q)) and np.all(np.diff(q) > 0.0)
+        for t in (20.0, 40.0, 700.0, 1e3):
+            assert dephasing_Q(bath, t) == pytest.approx(
+                thermal_q_mpmath(bath, t), rel=1e-13)
+
+    @pytest.mark.parametrize("chi", KERNEL_CHIS)
+    def test_cold_limit(self, chi):
+        # beta = 1e300 runs the whole series; every thermal term is far
+        # below rounding, and beta ** 17 would overflow.
+        cold, zero = BathSpec(0.7, chi, 2.0, beta=1e300), BathSpec(0.7, chi, 2.0)
+        for func in (dephasing_Q, bath_correlation):
+            np.testing.assert_allclose(func(cold, KERNEL_TIMES),
+                                       func(zero, KERNEL_TIMES),
+                                       rtol=1e-15, atol=0.0)
 
 
 class TestBathCorrelation:
@@ -237,10 +451,13 @@ class TestBathCorrelation:
         assert abs(bath_correlation(OHMIC, 100.0)) < 1e-4
         assert abs(bath_correlation(OHMIC, 1000.0)) < 1e-6
 
-    @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5, 3.0])
-    def test_closed_form_against_quadrature(self, chi):
-        bath = BathSpec(0.8, chi, 1.3)
-        times = np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 13)))
+    @pytest.mark.parametrize("bath, times", [
+        *[pytest.param(BathSpec(0.8, chi, 1.3),
+                       np.concatenate(([0.0], np.geomspace(1e-3, 1e3, 13))),
+                       id=str(chi)) for chi in (0.5, 1.0, 1.5, 3.0)],
+        *[pytest.param(bath, QUAD_WARM_TIMES, id=name)
+          for name, bath in QUAD_WARM.items()]])
+    def test_closed_form_against_quadrature(self, bath, times):
         quad = np.array([_c_quadrature(bath, float(t)) for t in times])
         np.testing.assert_allclose(bath_correlation(bath, times), quad,
                                    rtol=0.0, atol=1e-9)
@@ -273,7 +490,7 @@ class TestAsymptoticQ:
 
     def test_sub_ohmic_constant(self):
         bath = BathSpec(1.0, 0.5, 1.0)
-        c_half = (2.0 / math.pi) * math.gamma(0.5) * math.sin(math.pi / 4.0)
+        c_half = -(2.0 / math.pi) * math.gamma(-0.5) * math.sin(math.pi / 4.0)
         assert asymptotic_Q(bath, 4.0, AsymptoticRegime.SubOhmic) == \
             pytest.approx(2.0 * c_half, rel=1e-12)
 
@@ -299,7 +516,7 @@ class TestAsymptoticQ:
 
 
 class TestRegimeBehavior:
-    """Quadrature vs the leading-order forms, with their true prefactors."""
+    """dephasing_Q vs the leading-order forms, with their true prefactors."""
 
     @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5])
     def test_short_time_gaussian(self, chi):
@@ -321,6 +538,17 @@ class TestRegimeBehavior:
             dephasing_Q(bath, 1e4) / dephasing_Q(bath, 1e3)
         ) / math.log(10.0)
         assert slope == pytest.approx(0.5, abs=0.025)
+
+    @pytest.mark.parametrize("chi", [0.3, 0.5])
+    def test_sub_ohmic_large_t_ratio(self, chi):
+        # C_chi is the large-t coefficient itself: the ratio tends to 1 as
+        # 1 - t^(chi-1) / sin(pi chi / 2), from the constant term of Q.
+        bath = BathSpec(1.0, chi, 1.0)
+        ratios = [dephasing_Q(bath, t)
+                  / asymptotic_Q(bath, t, AsymptoticRegime.SubOhmic)
+                  for t in (1e4, 1e8)]
+        assert abs(ratios[1] - 1.0) < 2e-4
+        assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
 
     def test_ohmic_power_law(self):
         # |u| t^(2 eta / pi) is asymptotically constant.
