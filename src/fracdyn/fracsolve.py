@@ -115,6 +115,41 @@ def predictor_weights(
     return (j + 1.0) ** p - j**p
 
 
+def _history_weights(
+    scheme: WeightScheme, a: float, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Corrector weights in the solvers' layout, for the steps up to n.
+
+    v[i] (i = 0..n) weights the state i grid points behind the new one, the
+    same at every step; oldest[k] weights the initial point at step
+    t_k -> t_{k+1} (k = 0..n).  v[0] is the new point's weight, which the
+    solver cores apply themselves.
+    """
+    if a == 1.0:
+        # Classical trapezoid limits: [1, 2, ..., 2, 1] against h/Gamma(3)
+        # for StandardDFF, [1/2, 1, ..., 1, 1/2] against h for PaperPrinted.
+        standard = scheme is WeightScheme.StandardDFF
+        v = np.full(n + 1, 2.0 if standard else 1.0)
+        v[0] = 1.0 if standard else 0.5
+        return v, np.full(n + 1, 1.0 if standard else 0.5)
+    k = np.arange(n + 2, dtype=float)
+    v = np.ones(n + 1)
+    if scheme is WeightScheme.StandardDFF:
+        # a_i = (i+1)^(a+1) - 2 i^(a+1) + (i-1)^(a+1); oldest n^(a+1)
+        # - (n - a)(n+1)^a.
+        p = k ** (a + 1.0)
+        v[1:] = p[2:] - 2.0 * p[1:-1] + p[:-2]
+        oldest = p[:-1] - (k[:-1] - a) * k[1:] ** a
+    else:
+        # a_m = (m+1)^a - 2 m^a + (m-1)^a for m >= 1, a_0 = a_{-1} = 1:
+        # v = [1, a_0, a_1, ...], oldest = [a_0, a_1, ...].
+        p = k**a
+        second = p[2:] - 2.0 * p[1:-1] + p[:-2]
+        v[2:] = second[:-1]
+        oldest = np.concatenate(([1.0], second))
+    return v, oldest
+
+
 def corrector_weights(
     scheme: Union[WeightScheme, str], alpha: _AlphaLike, n: int
 ) -> np.ndarray:
@@ -130,73 +165,8 @@ def corrector_weights(
     a = _alpha_value(alpha)
     if n < 0:
         raise ValidationError("n must be >= 0")
-    c = np.empty(n + 2)
-    if a == 1.0:
-        # Classical trapezoid limits: [1, 2, ..., 2, 1] against h/Gamma(3)
-        # for StandardDFF, [1/2, 1, ..., 1, 1/2] against h for PaperPrinted.
-        if scheme is WeightScheme.StandardDFF:
-            c.fill(2.0)
-            c[0] = 1.0
-            c[-1] = 1.0
-        else:
-            c.fill(1.0)
-            c[0] = 0.5
-            c[-1] = 0.5
-        return c
-    if scheme is WeightScheme.StandardDFF:
-        c[0] = 1.0
-        if n >= 1:
-            i = np.arange(1, n + 1, dtype=float)
-            c[1:-1] = (i + 1.0) ** (a + 1.0) - 2.0 * i ** (a + 1.0) \
-                + (i - 1.0) ** (a + 1.0)
-        c[-1] = float(n) ** (a + 1.0) - (n - a) * float(n + 1) ** a
-    else:
-        c[0] = 1.0
-        c[1] = 1.0
-        if n >= 1:
-            m = np.arange(1, n + 1, dtype=float)
-            c[2:] = (m + 1.0) ** a - 2.0 * m**a + (m - 1.0) ** a
-    return c
-
-
-def _interior_weights_standard(a: float, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed interior weights v_i and per-step oldest weights for StandardDFF."""
-    i = np.arange(n_max + 1, dtype=float)
-    if a == 1.0:
-        v = np.full(n_max + 1, 2.0)
-        v[0] = 1.0
-        oldest = np.ones(n_max)
-    else:
-        v = np.empty(n_max + 1)
-        v[0] = 1.0
-        ii = i[1:]
-        v[1:] = (ii + 1.0) ** (a + 1.0) - 2.0 * ii ** (a + 1.0) \
-            + (ii - 1.0) ** (a + 1.0)
-        nn = np.arange(n_max, dtype=float)
-        oldest = nn ** (a + 1.0) - (nn - a) * (nn + 1.0) ** a
-    return v, oldest
-
-
-def _interior_weights_paper(a: float, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed interior weights and per-step oldest weights for PaperPrinted."""
-    v = np.empty(n_max + 1)
-    oldest = np.empty(n_max)
-    if a == 1.0:
-        v.fill(1.0)
-        oldest.fill(0.5)
-        return v, oldest
-    v[0] = 1.0  # unused (distance 0 handled by the predicted point)
-    if n_max >= 1:
-        v[1] = 1.0  # a_0 = 1
-    if n_max >= 2:
-        m = np.arange(1, n_max, dtype=float)
-        v[2:] = (m + 1.0) ** a - 2.0 * m**a + (m - 1.0) ** a
-    # Weight on the initial point at step n: a_n interior (a_0 = 1 at n = 0).
-    oldest[0] = 1.0
-    if n_max >= 2:
-        m = np.arange(1, n_max, dtype=float)
-        oldest[1:] = (m + 1.0) ** a - 2.0 * m**a + (m - 1.0) ** a
-    return v, oldest
+    v, oldest = _history_weights(scheme, a, n)
+    return np.append(v, oldest[n])
 
 
 # ----------------------------------------------------------------------------
@@ -552,17 +522,17 @@ def fam_solve(
     order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(a)
     M, u0 = _flow_operator(gen, init)
 
+    v, oldest = _history_weights(scheme, a, n_steps)
+    # vr[j] = v_{n_steps - j}: a contiguous copy for the history dot.
+    vr, oldest = v[::-1].copy(), oldest[:-1]
     if scheme is WeightScheme.StandardDFF:
-        v, oldest = _interior_weights_standard(a, n_steps)
         pref = h**a / gamma(a + 2.0)
-        # vr[j] = v_{n_steps - j}: a contiguous copy for the history dot.
-        u = _dense_implicit_core(M, u0, pref, v[::-1].copy(), oldest, n_steps)
+        u = _dense_implicit_core(M, u0, pref, vr, oldest, n_steps)
     else:
-        v, oldest = _interior_weights_paper(a, n_steps)
         pref = h**a / gamma(1.0 + a)
         b = predictor_weights(scheme, a, n_steps)
-        u = _dense_explicit_core(M, u0, pref, v[::-1].copy(), oldest,
-                                 b[::-1].copy(), n_steps)
+        u = _dense_explicit_core(M, u0, pref, vr, oldest, b[::-1].copy(),
+                                 n_steps)
     return _trajectory(u, order, h, scheme, init)
 
 

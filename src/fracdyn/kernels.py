@@ -15,13 +15,15 @@ Stieltjes representation
 
     t^(alpha-1)/Gamma(alpha) = (sin(pi alpha)/pi) int_0^oo xi^(-alpha) e^(-xi t) dxi
 
-with a dyadically graded quadrature in log(xi): nodes are spaced by
-h = ln(2)/m (consecutive rates differ by the factor 2^(1/m)), the integrable
-xi -> 0 end is lumped into a single slow mode carrying the exact tail mass at
-its first-moment rate, and the grid is truncated where e^(-xi t_min) is
-negligible.  The
-trapezoid-in-log discretization error decays like exp(-pi^2/h) because the
-integrand extends analytically to the strip |Im log(xi)| < pi/2.
+with McLean's substitution xi = exp(u - e^(-u)) / t_max and the trapezoid
+rule in u (W. McLean, "Exponential sum approximations for t^(-beta)", in
+Contemporary Computational Mathematics, Springer 2018, p. 911).  The
+integrand decays double-exponentially at both ends and extends
+analytically to the strip |Im u| < pi/2, so the step
+h = pi^2 / ln(100/tol) meets a relative tolerance tol with a node count that
+grows like ln(1/tol) ln(t_max/t_min), and no lumped mode or refinement loop
+is needed.  Nodes whose rate is too small for exp(-xi t) to differ from 1 on
+the range share one rate-0 mode.
 """
 
 from __future__ import annotations
@@ -142,56 +144,33 @@ class SOEKernel:
         return arr[:, 0].copy(), arr[:, 1].copy()
 
     def evaluate(self, t: Union[float, np.ndarray]):
-        """Evaluate ``sum_q w_q exp(-xi_q t)`` (vectorized over ``t``)."""
+        """Evaluate ``sum_q w_q exp(-xi_q t)`` (vectorized over ``t``).
+
+        Each value is summed on its own row, so a scalar call gives the same
+        bits as the same time inside an array.
+        """
         w, xi = self.weights_rates()
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        with np.errstate(under="ignore"):
-            vals = np.exp(-np.outer(t_arr, xi)) @ w
+        with np.errstate(under="ignore", over="ignore"):
+            vals = (np.exp(-np.outer(t_arr, xi)) * w).sum(axis=1)
         if np.ndim(t) == 0:
             return float(vals[0])
         return vals
 
 
-def _soe_candidate(a: float, t_min: float, t_max: float, c: float, big: float,
-                   m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Build candidate (weights, rates) for one quadrature configuration.
-
-    ``c``   = xi_0 * t_max, the lumped lower cutoff in units of 1/t_max;
-    ``big`` = xi_hi * t_min, the upper cutoff in units of 1/t_min;
-    ``m``   = nodes per octave (spacing h = ln2/m in log xi).
-    """
-    h = math.log(2.0) / m
-    x_lo = math.log(c / t_max)
-    x_hi = math.log(big / t_min)
-    n_nodes = max(1, int(math.ceil((x_hi - x_lo) / h)) + 1)
-    x = x_lo + h * np.arange(n_nodes)
-    pref = math.sin(math.pi * a) / math.pi
-    with np.errstate(under="ignore", over="ignore"):
-        w_nodes = pref * h * np.exp((1.0 - a) * x)
-    xi_nodes = np.exp(x)
-    # The integrable xi -> 0 tail over (0, xi_edge] becomes one slow mode with
-    # the exact tail mass and its first-moment rate (so the t-dependence of the
-    # tail is matched through first order in xi_edge * t).
-    xi_edge = math.exp(x_lo - 0.5 * h)
-    g_edge = pref * xi_edge ** (1.0 - a)
-    w_lump = g_edge / (1.0 - a)
-    xi_lump = xi_edge * (1.0 - a) / (2.0 - a)
-    # Euler-Maclaurin stitch: composite midpoint over [x_edge, oo) carries a
-    # boundary defect +(h^2/24) g'(x_edge); remove it from the first node.
-    w_nodes[0] -= (h * h / 24.0) * (1.0 - a) * g_edge
-    weights = np.concatenate([[w_lump], w_nodes])
-    rates = np.concatenate([[xi_lump], xi_nodes])
-    return weights, rates
-
-
-def _soe_max_rel_err(weights: np.ndarray, rates: np.ndarray, grid: np.ndarray,
-                     exact: np.ndarray) -> float:
-    with np.errstate(under="ignore"):
-        approx = np.exp(-np.outer(grid, rates)) @ weights
-    return float(np.max(np.abs(approx - exact) / exact))
+def _mclean_u(y: float) -> float:
+    """The u with u - e^(-u) = y.  The left side is increasing and concave,
+    so Newton's method started below the root climbs to it monotonically."""
+    u = y if y >= 0.0 else -math.log1p(-y)
+    for _ in range(8):
+        eu = math.exp(-u)
+        u -= (u - eu - y) / (1.0 + eu)
+    return u
 
 
 _SOE_TERM_BUDGET = 256
+# ln(xi t_max) at or below which exp(-xi t) rounds to 1 on the whole range.
+_SOE_CONST_LOG = -54.0 * math.log(2.0)
 
 
 def soe_compress(
@@ -205,10 +184,8 @@ def soe_compress(
     The relative-error criterion of :class:`SOEKernel` is verified on a
     log-spaced audit grid of 200 points (a single point when the range is
     degenerate).  Raises :class:`~fracdyn.errors.AccuracyError` carrying the
-    best achieved error if the tolerance cannot be met within 256 terms.
+    achieved error if the tolerance is not met within 256 terms.
     """
-    from scipy.special import gamma
-
     a = _alpha_value(alpha)
     if not (0.0 < t_min <= t_max) or not math.isfinite(t_max):
         raise DomainError("soe_compress requires 0 < t_min <= t_max, finite")
@@ -220,63 +197,46 @@ def soe_compress(
         # K_1(t) = 1 exactly: a single constant mode.
         return SOEKernel(order, ((1.0, 0.0),), (t_min, t_max), tol)
 
+    # A kernel within 1 is within any looser tolerance.
+    eps = min(tol, 1.0)
+    h = math.pi**2 / math.log(100.0 / eps)
+    # Nodes run from where the dropped mass below xi, sin(pi a)/pi
+    # xi^(1-a)/(1-a), is eps/4 of K(t_max), to xi t_min = ln(4/eps) + 5.
+    y_lo = math.log(0.25 * eps * math.gamma(2.0 - a)) / (1.0 - a)
+    y_hi = math.log(math.log(4.0 / eps) + 5.0) + math.log(t_max) \
+        - math.log(t_min)
+    u = h * np.arange(math.floor(_mclean_u(y_lo) / h),
+                      math.ceil(_mclean_u(y_hi) / h) + 1)
+    eu = np.exp(-u)
+    x = u - eu  # ln(xi t_max); xi itself underflows for a near 1
+    log_xi = x - math.log(t_max)
+    # sin(pi a) = sin(pi (1 - a)), exact in 1 - a for a >= 1/2.
+    weights = (math.sin(math.pi * min(a, 1.0 - a)) / math.pi) * h \
+        * (1.0 + eu) * np.exp((1.0 - a) * log_xi)
+    rates = np.exp(log_xi)
+    const = x <= _SOE_CONST_LOG
+    if np.any(const):
+        # These modes equal 1 in floating point; one rate-0 mode carries them.
+        weights = np.concatenate(([weights[const].sum()], weights[~const]))
+        rates = np.concatenate(([0.0], rates[~const]))
+
+    kernel = SOEKernel(order, tuple(zip(weights.tolist(), rates.tolist())),
+                       (t_min, t_max), tol)
+
     if t_min == t_max:
         grid = np.array([t_min])
     else:
         grid = np.geomspace(t_min, t_max, 200)
-    exact = np.asarray(kernel_eval(KernelKind.Volterra, a, grid), dtype=float)
-    exact = np.atleast_1d(exact)
-
-    best_err = math.inf
-    best: Tuple[np.ndarray, np.ndarray] | None = None
-    for attempt in range(6):
-        shrink = 4.0**attempt
-        tol_c = tol / (8.0 * shrink)
-        c = min(0.5, math.sqrt(24.0 * tol_c * gamma(1.0 - a)))
-        big = math.log(8.0 / tol) + 8.0 + 3.0 * attempt
-        h_req = math.pi**2 / math.log(50.0 * shrink / tol)
-        m = max(1, int(math.ceil(math.log(2.0) / h_req)))
-        weights, rates = _soe_candidate(a, t_min, t_max, c, big, m)
-        err = _soe_max_rel_err(weights, rates, grid, exact)
-        if err < best_err:
-            best_err, best = err, (weights, rates)
-        if err <= tol:
-            if len(weights) <= _SOE_TERM_BUDGET:
-                weights, rates = _soe_prune(weights, rates, grid, exact, tol, err)
-                terms = tuple((float(w), float(xi)) for w, xi in zip(weights, rates))
-                return SOEKernel(order, terms, (t_min, t_max), tol)
-            break  # over budget: refining further only adds terms
-    raise AccuracyError(
-        f"sum-of-exponentials tolerance {tol:g} unreachable within "
-        f"{_SOE_TERM_BUDGET} terms (achieved {best_err:g})",
-        achieved=best_err,
-    )
-
-
-def _soe_prune(weights: np.ndarray, rates: np.ndarray, grid: np.ndarray,
-               exact: np.ndarray, tol: float, err: float):
-    """Greedily drop terms whose total contribution fits in the error slack."""
-    # Max contribution of term q over the range, relative to the smallest
-    # kernel value (the kernel decreases, so min K is at t_max = grid[-1]).
-    with np.errstate(under="ignore"):
-        contrib = weights * np.exp(-rates * grid[0])
-    rel_contrib = np.abs(contrib) / exact[-1]
-    order_idx = np.argsort(rel_contrib)
-    budget = 0.25 * (tol - err)
-    drop_mask = np.zeros(len(weights), dtype=bool)
-    running = 0.0
-    for q in order_idx:
-        if running + rel_contrib[q] > budget:
-            break
-        running += rel_contrib[q]
-        drop_mask[q] = True
-    if not np.any(drop_mask):
-        return weights, rates
-    keep = ~drop_mask
-    w_new, xi_new = weights[keep], rates[keep]
-    if _soe_max_rel_err(w_new, xi_new, grid, exact) <= tol:
-        return w_new, xi_new
-    return weights, rates
+    exact = kernel_eval(KernelKind.Volterra, a, grid)
+    err = float(np.max(np.abs(kernel.evaluate(grid) - exact) / exact))
+    if err > tol or kernel.n_terms > _SOE_TERM_BUDGET:
+        raise AccuracyError(
+            f"sum-of-exponentials tolerance {tol:g} unreachable within "
+            f"{_SOE_TERM_BUDGET} terms ({kernel.n_terms} terms, achieved "
+            f"{err:g})",
+            achieved=err,
+        )
+    return kernel
 
 
 def complete_monotonicity_probe(

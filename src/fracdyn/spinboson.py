@@ -173,13 +173,20 @@ def _on_times(bath: BathSpec, t, what: str, p: float, order, amp: float):
     """Evaluate a bath function at every time in ``t`` (scalar or array).
 
     A scalar or 0-d ``t`` gives a ``float``, an array an array of its shape.
+    A chi so large that a Gamma factor of the series overflows (about 170
+    at beta = inf, 150 at finite beta) is a :class:`DomainError`.
     """
     arr = np.asarray(t, dtype=float)
     bad = (arr < 0.0) | ~np.isfinite(arr)
     if np.any(bad):
         raise DomainError(
             f"{what} requires finite t >= 0, got {float(arr[bad][0])!r}")
-    out = _thermal_sum(bath, bath.omega_c * arr, p, order, amp)
+    try:
+        out = _thermal_sum(bath, bath.omega_c * arr, p, order, amp)
+    except OverflowError:
+        raise DomainError(
+            f"{what}: chi = {bath.chi:g} overflows the Gamma factors of "
+            f"its closed form") from None
     if arr.ndim == 0:
         return float(out)
     return out
@@ -224,7 +231,9 @@ def bath_correlation(bath: BathSpec, t) -> Union[float, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _validated_grid(grid) -> np.ndarray:
-    times = np.asarray(grid, dtype=float)
+    """A checked float copy of ``grid``: the caller's array is never the one
+    a :class:`CoherenceSeries` freezes."""
+    times = np.array(grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("time grid must be a non-empty 1-D array")
     if not np.all(np.isfinite(times)) or times[0] < 0.0:
@@ -247,7 +256,7 @@ class CoherenceSeries:
 
     def __post_init__(self) -> None:
         times = _validated_grid(self.times)
-        values = np.asarray(self.values, dtype=complex)
+        values = np.array(self.values, dtype=complex)
         if self.meta not in _SERIES_TAGS:
             raise ValidationError(
                 f"CoherenceSeries.meta must be one of {_SERIES_TAGS}"
@@ -301,6 +310,16 @@ class AsymptoticRegime(Enum):
     SuperOhmic = "super-ohmic"
 
 
+def _chi_gamma(bath: BathSpec, x: float) -> float:
+    """Gamma(x) for a bath's closed form; DomainError naming chi if it
+    overflows."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(
+            f"chi = {bath.chi:g} overflows Gamma({x:g})") from None
+
+
 def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime,
                  d_chi: Optional[float] = None) -> float:
     """Leading-order asymptotic form of Q(t) in the given regime.
@@ -333,7 +352,7 @@ def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime,
         raise DomainError(f"asymptotic_Q requires t > 0, got {t}")
     eta, chi, wc = bath.eta, bath.chi, bath.omega_c
     if regime is AsymptoticRegime.ShortTime:
-        return 0.5 * eta * math.gamma(chi + 1.0) * wc * wc * t * t
+        return 0.5 * eta * _chi_gamma(bath, chi + 1.0) * wc * wc * t * t
     if regime is AsymptoticRegime.SubOhmic:
         if chi >= 1.0:
             raise DomainError("SubOhmic asymptotics require chi < 1")
@@ -346,7 +365,7 @@ def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime,
         return 0.5 * eta * math.log(wc * wc * t * t)
     if chi <= 1.0:
         raise DomainError("SuperOhmic asymptotics require chi > 1")
-    q_inf = (2.0 / math.pi) * eta * math.gamma(chi - 1.0)
+    q_inf = (2.0 / math.pi) * eta * _chi_gamma(bath, chi - 1.0)
     if d_chi is not None:
         return q_inf - d_chi * t ** (1.0 - chi)
     return q_inf

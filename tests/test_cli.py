@@ -229,6 +229,15 @@ class TestExact:
                "regime": "sub_ohmic"}
         assert run(tmp_path, doc)[0] == 2
 
+    @pytest.mark.parametrize("bath", [{"eta": 1.0, "chi": 180.0},
+                                      {"eta": 1.0, "chi": 160.0, "beta": 1.0}])
+    def test_gamma_overflow_is_config_error(self, tmp_path, capsys, bath):
+        doc = {"command": "exact", "bath": bath,
+               "grid": {"t_min": 0.1, "t_max": 1.0, "n_points": 3},
+               "regime": "super_ohmic"}
+        assert run(tmp_path, doc)[0] == 2
+        assert f"chi = {bath['chi']:g}" in capsys.readouterr().err
+
 
 class TestMarkov:
     def test_ohmic_pipeline(self, tmp_path):
@@ -417,6 +426,12 @@ class TestSolve:
         last1 = np.array([float(x) for x in r1[-1]])
         last2 = np.array([float(x) for x in r2[-1]])
         assert np.max(np.abs(last1 - last2)) <= 1e-6
+
+    def test_soe_tolerance_1e_10(self, tmp_path):
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.5, "h": 0.01, "n_steps": 200, "history": "soe",
+               "soe_tol": 1e-10}
+        assert run(tmp_path, doc)[0] == 0
 
     def test_paper_printed_scheme_accepted(self, tmp_path):
         doc = {"command": "solve", "generator": DEPHASING_GEN,
@@ -698,6 +713,15 @@ class TestDeferredScipy:
             np.testing.assert_allclose(column(header, rows, name),
                                        column(want_header, want_rows, name),
                                        rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_soe_solve_first_use(self, tmp_path):
+        # soe_compress builds its kernel with math.gamma: the SOE demo needs
+        # scipy.special (kernel_eval, the solver prefactor) and nothing else.
+        stem = "solver_soe_trajectory"
+        loaded = fresh_cli("solve", DEMOS / "configs" / f"{stem}.json",
+                           tmp_path / f"{stem}.csv")
+        assert "special" in loaded
+        assert not {"optimize", "integrate", "linalg"} & set(loaded)
 
     def test_finite_temperature_exact_first_use(self, tmp_path):
         doc = {"command": "exact", "bath": {"eta": 1, "chi": 1.5, "beta": 2},

@@ -21,7 +21,7 @@ RTOL, ATOL = 1e-9, 1e-12
 # diameter of 1e-6; the fitted curve inherits that.
 FIT_RTOL, FIT_ATOL = 1e-6, 1e-9
 MC_SIGMAS = 5.0
-# Dense and SOE histories agree to ~1e-9 on the demo trajectory (SOE
+# Dense and SOE histories agree to 3.3e-11 on the demo trajectory (SOE
 # tolerance 1e-8).
 SOE_DENSE_ATOL = 1e-8
 

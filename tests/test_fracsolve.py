@@ -232,6 +232,32 @@ class TestCorrectorWeights:
         with pytest.raises(ValidationError):
             corrector_weights("standard_dff", 0.5, -1)
 
+    @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_public_weights_are_the_solver_layout(self, scheme, alpha):
+        # corrector_weights(n) is v[0..n] then oldest[n] of the arrays the
+        # dense solver steps with, and matches the closed forms.
+        v, oldest = fracsolve._history_weights(WeightScheme(scheme), alpha, 50)
+        for n in range(51):
+            c = corrector_weights(scheme, alpha, n)
+            np.testing.assert_array_equal(c[:-1], v[: n + 1])
+            assert c[-1] == oldest[n]
+            np.testing.assert_allclose(c, _closed_form_corrector(scheme, alpha, n),
+                                       rtol=0.0, atol=1e-13 * (n + 1) ** 2)
+
+
+def _closed_form_corrector(scheme, a, n):
+    """The corrector weights of the module docstring, term by term."""
+    if a == 1.0:
+        inner, end = (2.0, 1.0) if scheme == "standard_dff" else (1.0, 0.5)
+        return [end] + [inner] * n + [end]
+    if scheme == "standard_dff":
+        return ([1.0] + [(i + 1) ** (a + 1) - 2 * i ** (a + 1) + (i - 1) ** (a + 1)
+                         for i in range(1, n + 1)]
+                + [n ** (a + 1) - (n - a) * (n + 1) ** a])
+    return [1.0, 1.0] + [(m + 1) ** a - 2 * m**a + (m - 1) ** a
+                         for m in range(1, n + 1)]
+
 
 # ---------------------------------------------------------------------------
 # Scalar solver

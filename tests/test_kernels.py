@@ -101,13 +101,15 @@ def _fresh_log_grid(t_min, t_max, n=400, seed=20240817):
     return np.exp(rng.uniform(math.log(t_min), math.log(t_max), n))
 
 
+def _max_rel_err(kernel, alpha, grid):
+    exact = kernel_eval(KernelKind.Volterra, alpha, grid)
+    return np.max(np.abs(kernel.evaluate(grid) - exact) / exact)
+
+
 def test_soe_canonical_case_under_80_terms():
     k = soe_compress(0.5, 1e-2, 1e2, 1e-6)
     assert k.n_terms <= 80
-    grid = _fresh_log_grid(1e-2, 1e2)
-    exact = kernel_eval(KernelKind.Volterra, 0.5, grid)
-    rel = np.max(np.abs(k.evaluate(grid) - exact) / exact)
-    assert rel <= 1e-6
+    assert _max_rel_err(k, 0.5, _fresh_log_grid(1e-2, 1e2)) <= 1e-6
 
 
 @pytest.mark.parametrize("alpha,tol", [(0.05, 1e-6), (0.3, 1e-6), (0.6, 1e-6),
@@ -116,10 +118,32 @@ def test_soe_fresh_random_grid_audit(alpha, tol):
     t_min, t_max = 1e-3, 1e3
     k = soe_compress(alpha, t_min, t_max, tol)
     assert k.n_terms <= 256
-    grid = _fresh_log_grid(t_min, t_max, seed=99)
-    exact = kernel_eval(KernelKind.Volterra, alpha, grid)
-    rel = np.max(np.abs(k.evaluate(grid) - exact) / exact)
-    assert rel <= tol
+    assert _max_rel_err(k, alpha, _fresh_log_grid(t_min, t_max, seed=99)) <= tol
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.9])
+@pytest.mark.parametrize("t_max", [0.02, 1.0, 100.0])
+def test_soe_meets_1e_10(alpha, t_max):
+    k = soe_compress(alpha, 0.01, t_max, 1e-10)
+    assert _max_rel_err(k, alpha, _fresh_log_grid(0.01, t_max, seed=7)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 0.999])
+@pytest.mark.parametrize("t_min, t_max", [(1e-9, 1e9), (1.0, 1.0)])
+@pytest.mark.parametrize("tol", [1e-4, 1e-13])
+def test_soe_sweep_corners(alpha, t_min, t_max, tol):
+    # alpha = 0.999 puts most of the Stieltjes mass at rates that underflow;
+    # those nodes become one rate-0 mode.
+    k = soe_compress(alpha, t_min, t_max, tol)
+    assert k.n_terms <= 256
+    grid = (_fresh_log_grid(t_min, t_max, n=2000, seed=11)
+            if t_min < t_max else np.array([t_min]))
+    assert _max_rel_err(k, alpha, grid) <= tol
+
+
+def test_soe_demo_kernel_size():
+    # The solver_soe_trajectory demo: h = 1e-3, N = 5000, tol 1e-8.
+    assert soe_compress(0.5, 1e-3, 5.0, 1e-8).n_terms <= 40
 
 
 def test_soe_alpha_one_is_single_constant_mode():
@@ -141,10 +165,20 @@ def test_soe_rates_strictly_increasing():
 
 
 def test_soe_budget_exhaustion_raises_with_achieved():
+    # A tolerance below double-precision roundoff.
     with pytest.raises(AccuracyError) as exc:
-        soe_compress(0.5, 1e-9, 1e9, 1e-13)
+        soe_compress(0.5, 1e-9, 1e9, 1e-16)
     assert exc.value.achieved is not None
-    assert exc.value.achieved > 1e-13
+    assert exc.value.achieved > 1e-16
+
+
+def test_soe_extreme_inputs():
+    # Any tolerance above 1 is met by the tol = 1 kernel; a range whose
+    # ratio overflows a float runs past the term budget.
+    k = soe_compress(0.5, 0.1, 10.0, 1e6)
+    assert _max_rel_err(k, 0.5, _fresh_log_grid(0.1, 10.0)) <= 1.0
+    with pytest.raises(AccuracyError):
+        soe_compress(0.5, 1e-200, 1e200, 1e-6)
 
 
 @pytest.mark.parametrize("bad", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])

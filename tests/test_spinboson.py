@@ -432,6 +432,25 @@ class TestThermalSeries:
                                        func(zero, KERNEL_TIMES),
                                        rtol=1e-15, atol=0.0)
 
+    @pytest.mark.parametrize("chi, beta, overflowing", [
+        (171.0, math.inf, "C"), (180.0, math.inf, "QC"), (160.0, 1.0, "QC")])
+    def test_gamma_overflow_is_domain_error(self, chi, beta, overflowing):
+        # Gamma(chi - 1) for Q and Gamma(chi + 1) for C at beta = inf; the
+        # Euler-Maclaurin orders reach Gamma(chi + 18) at finite beta.
+        bath = BathSpec(1.0, chi, 1.0, beta=beta)
+        for name, func in (("Q", dephasing_Q), ("C", bath_correlation)):
+            if name in overflowing:
+                with pytest.raises(DomainError, match=f"chi = {chi:g}"):
+                    func(bath, [0.5, 1.0])
+            else:
+                assert np.all(np.isfinite(func(bath, [0.5, 1.0])))
+
+    def test_asymptotic_gamma_overflow_is_domain_error(self):
+        bath = BathSpec(1.0, 180.0)
+        for regime in (AsymptoticRegime.ShortTime, AsymptoticRegime.SuperOhmic):
+            with pytest.raises(DomainError, match="chi = 180"):
+                asymptotic_Q(bath, 1.0, regime)
+
 
 class TestBathCorrelation:
     @pytest.mark.parametrize("chi", [0.5, 1.0, 1.5])
@@ -626,6 +645,19 @@ class TestCoherenceSeries:
         cells = lines[2].split(",")
         assert float(cells[0]) == 1.0
         assert float(cells[3]) == pytest.approx(math.exp(-0.5), rel=1e-14)
+
+    def test_caller_arrays_stay_writeable(self):
+        g = np.array([0.0, 0.5, 1.0])
+        v = np.array([1.0, 0.9, 0.8], dtype=complex)
+        series = [exact_coherence(OHMIC, 0.3, g), markov_coherence(0.2, 0.3, g),
+                  tcl_coherence(OHMIC, 0.3, g), CoherenceSeries(g, v, "exact")]
+        assert g.flags.writeable and v.flags.writeable
+        g[0], v[0] = 0.1, 0.5
+        for ser in series:
+            assert ser.times[0] == 0.0
+            assert not ser.times.flags.writeable
+            assert not ser.values.flags.writeable
+        assert series[-1].values[0] == 1.0
 
 
 class TestMarkovModel:
