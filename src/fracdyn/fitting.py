@@ -19,7 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, ValidationError
-from .specfun import FractionalOrder, mittag_leffler
+from .specfun import FractionalOrder, _ml_slope, mittag_leffler
 from .spinboson import AsymptoticRegime, BathSpec, CoherenceSeries, \
     asymptotic_Q, bath_correlation
 
@@ -110,14 +110,20 @@ class FitResult:
 # Objective
 # ---------------------------------------------------------------------------
 
-def _model_values(alpha: float, lam: float, times: np.ndarray,
+def _model_values(alpha: float, lam, times: np.ndarray,
                   u_inf: Optional[float]) -> np.ndarray:
-    # Times t <= 0 give z = 0, hence E = 1.
+    # Times t <= 0 give z = 0, hence E = 1.  A column of lambdas gives one
+    # row of model values per lambda, in one mittag_leffler call.
     clipped = np.where(times > 0.0, times, 0.0)
     out = mittag_leffler(alpha, -lam * clipped**alpha)
     if u_inf is not None:
         out = u_inf + (1.0 - u_inf) * out
     return out
+
+
+def _rmse(resid: np.ndarray):
+    """Root mean square of ``resid`` along its last axis."""
+    return np.sqrt(np.mean(resid * resid, axis=-1))
 
 
 def _window_samples(target: CoherenceSeries,
@@ -151,7 +157,7 @@ def rmse_objective(alpha, lam: float, target: CoherenceSeries,
         raise DomainError(f"u_inf must lie in [0, 1), got {u_inf}")
     times, mags = _window_samples(target, window)
     resid = _model_values(a, lam, times, u_inf) - mags
-    return float(np.sqrt(np.mean(resid * resid)))
+    return float(_rmse(resid))
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,10 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
     the coarse grid stage with an explicit (alpha, lambda) starting point.
     If the evaluation budget is exhausted before the simplex converges, the
     best point so far is returned with ``converged=False``.
+
+    ``evaluations`` (and the ``max_evaluations`` budget) counts grid cells
+    and simplex evaluations, one per (alpha, lambda) point, not array calls:
+    the grid evaluates each alpha row of 41 lambdas in one call.
     """
     from scipy.optimize import minimize
 
@@ -207,7 +217,7 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
             return math.inf
         count[0] += 1
         resid = _model_values(a, math.exp(log_lam), times, u_inf) - mags
-        return float(np.sqrt(np.mean(resid * resid)))
+        return float(_rmse(resid))
 
     if init is not None:
         a0, lam0 = float(init[0]), float(init[1])
@@ -216,15 +226,22 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
         best = np.array([a0, math.log(lam0)])
         best_val = objective(best)
     else:
+        # Row by row in alpha, each row one array call; the first minimum
+        # in (alpha, lambda) order wins, as a cell-by-cell scan would pick.
         best, best_val = None, math.inf
-        cells = [(a, ll * math.log(10.0))
-                 for a in _ALPHA_GRID for ll in _LOG_LAMBDA_GRID]
-        for cell in cells:
-            if count[0] >= max_evaluations:
+        log_lams = _LOG_LAMBDA_GRID * math.log(10.0)
+        # math.exp, as in the objective: np.exp may differ in the last bit.
+        lams = np.array([math.exp(v) for v in log_lams])
+        for a in _ALPHA_GRID:
+            cells = min(lams.size, max_evaluations - count[0])
+            if cells <= 0:
                 break
-            val = objective(np.array(cell))
-            if val < best_val:
-                best, best_val = np.array(cell), val
+            count[0] += cells
+            resid = _model_values(a, lams[:cells, None], times, u_inf) - mags
+            vals = _rmse(resid)
+            j = int(np.argmin(vals))
+            if vals[j] < best_val:
+                best, best_val = np.array([a, log_lams[j]]), float(vals[j])
 
     converged = True
     start = best
@@ -302,12 +319,12 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
     """Solve E_alpha(-lambda t_star^alpha) = v_star for lambda.
 
     ``v_star`` is ``u_star`` itself, or the plateau-normalized value
-    (u_star - u_inf) / (1 - u_inf) when ``u_inf`` is given.  The root is
-    bracketed in ln lambda (the left side is strictly monotone in lambda)
-    and solved to 1e-10 in the function value.
+    (u_star - u_inf) / (1 - u_inf) when ``u_inf`` is given.  The left side
+    is strictly decreasing in lambda, so the root in ln lambda is found by
+    Newton steps, with dE/dz from the same contour nodes as E, inside the
+    bracket [-40, 40]; a step that leaves the bracket bisects it instead.
+    The root must reach 1e-10 in the function value.
     """
-    from scipy.optimize import brentq
-
     a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
     if not (0.0 < a <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {a}")
@@ -328,7 +345,28 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
         return mittag_leffler(a, -math.exp(log_lam) * scale) - v_star
 
     lo, hi = -40.0, 40.0
-    root = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    # Start where the exponential law e^{-lambda t^a} meets v_star.
+    root = math.log(-math.log(v_star)) - a * math.log(t_star)
+    root = min(max(root, lo), hi)
+    for _ in range(200):
+        resid = f(root)
+        if resid == 0.0:
+            break
+        if resid > 0.0:
+            lo = root
+        else:
+            hi = root
+        tol = 1e-13 + 8.9e-16 * abs(root)
+        if hi - lo <= tol:  # Newton steps jitter on the rounding of E
+            break
+        z = -math.exp(root) * scale
+        slope = _ml_slope(a, z) * z  # d resid / d ln lambda, negative
+        step = resid / slope if slope < 0.0 else math.nan
+        root -= step
+        if abs(step) <= tol:
+            break
+        if not lo < root < hi:
+            root = 0.5 * (lo + hi)
     if abs(f(root)) > 1e-10:
         raise NonConvergenceError("lambda_from_point did not reach 1e-10")
     return math.exp(root)

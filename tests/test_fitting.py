@@ -16,6 +16,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from fracdyn import fitting
 from fracdyn.errors import DomainError, NonConvergenceError, ValidationError
 from fracdyn.fitting import (FitResult, FitWindow, bath_correlation_time,
                              default_fit_window, fit_fractional,
@@ -287,6 +288,78 @@ class TestFitFractional:
             fit_fractional(exact_sub, FitWindow(2.0, 60.0), plateau=1.0)
 
 
+def per_cell_fit(target, window, u_inf, budget):
+    """``fit_fractional``'s result for a budget that the grid nearly uses
+    up, with the grid scanned one ``rmse_objective`` call per cell.
+
+    Returns ``(alpha, lambda, evaluations, converged)``, never converged:
+    a budget of 821-824 leaves at most 4 evaluations, too few for a
+    simplex; 825 leaves 5, too few for it to converge, so the restart is
+    never reached.
+    """
+    from scipy.optimize import minimize
+
+    count, best, best_val = 0, None, math.inf
+    for a in fitting._ALPHA_GRID:
+        for ll in fitting._LOG_LAMBDA_GRID:
+            if count >= budget:
+                break
+            log_lam = ll * math.log(10.0)
+            val = rmse_objective(a, math.exp(log_lam), target, window, u_inf)
+            count += 1
+            if val < best_val:
+                best, best_val = np.array([a, log_lam]), val
+
+    if budget - count > 4:
+        def objective(params):
+            nonlocal count
+            a, log_lam = float(params[0]), float(params[1])
+            if not (0.0 < a <= 1.0) or abs(log_lam) > 700.0:
+                return math.inf
+            count += 1
+            return rmse_objective(a, math.exp(log_lam), target, window,
+                                  u_inf)
+
+        res = minimize(objective, best, method="Nelder-Mead",
+                       options={"xatol": fitting._SIMPLEX_TOL,
+                                "fatol": 1e-15, "maxfev": budget - count})
+        assert not res.success
+        if res.fun <= best_val:
+            best = np.asarray(res.x)
+    return (float(min(max(best[0], 1e-12), 1.0)), math.exp(float(best[1])),
+            count, False)
+
+
+class TestBatchedGrid:
+    @pytest.mark.parametrize("budget",
+                             [1, 40, 41, 42, 819, 820, 821, 825])
+    @pytest.mark.parametrize("case", ["plain", "anchored"])
+    def test_budget_matches_per_cell_scan(self, case, budget, exact_sub,
+                                          exact_super):
+        if case == "plain":
+            target, window, u_inf = exact_sub, FitWindow(2.0, 60.0), None
+        else:
+            target, window = exact_super, FitWindow(2.0, 20.0)
+            u_inf = U_INF_CHI_15
+        r = fit_fractional(target, window, plateau=u_inf,
+                           max_evaluations=budget)
+        got = (r.alpha.alpha, r.lam, r.evaluations, r.converged)
+        assert got == per_cell_fit(target, window, u_inf, budget)
+
+    def test_one_call_per_alpha_row(self, exact_super):
+        # The super-Ohmic demo fit with the budget of the grid alone: one
+        # call per alpha row, plus the final rmse_objective.
+        with mock.patch("fracdyn.fitting.mittag_leffler",
+                        wraps=mittag_leffler) as spy:
+            r = fit_fractional(exact_super, FitWindow(2.0, 20.0),
+                               plateau="auto", bath=BathSpec(1.0, 1.5),
+                               max_evaluations=820)
+        assert r.evaluations == 820
+        assert spy.call_count == 20 + 1
+        rows = [c.args[1].shape for c in spy.call_args_list[:20]]
+        assert rows == [(41, 73)] * 20
+
+
 class TestLocalOrderEstimate:
     def test_synthetic_power(self):
         t = np.geomspace(0.1, 10.0, 120)
@@ -366,6 +439,16 @@ class TestLambdaFromPoint:
         u = 0.3 + 0.7 * mittag_leffler(0.6, -1.3 * 2.0**0.6)
         lam = lambda_from_point(0.6, 2.0, u, u_inf=0.3)
         assert lam == pytest.approx(1.3, abs=1e-8)
+
+    def test_newton_steps(self):
+        # Bisecting [-40, 40] down to 1e-13 would take about 50 calls.
+        for a, t, u in [(0.7, 3.0, 0.2), (0.05, 0.5, 0.6), (0.95, 40.0, 1e-5),
+                        (0.3, 2.0, 0.9999), (1.0, 1.0, 0.5)]:
+            with mock.patch("fracdyn.fitting.mittag_leffler",
+                            wraps=mittag_leffler) as spy:
+                lam = lambda_from_point(a, t, u)
+            assert spy.call_count <= 16, (a, t, u)
+            assert abs(mittag_leffler(a, -lam * t**a) - u) <= 1e-10
 
     def test_residual_tolerance(self):
         lam = lambda_from_point(0.7, 3.0, 0.2)

@@ -9,6 +9,7 @@ are checked against a live mpmath series (the ``ml_mpmath`` fixture).
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fracdyn import (
     mittag_leffler,
     ml_partial_sum,
 )
+from fracdyn import specfun
 from fracdyn.specfun import m_wright_asymptotic
 
 
@@ -91,6 +93,10 @@ def test_ml_batch_alpha_one_is_exp_without_spectral_basis():
 @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0])
 def test_ml_at_zero_is_one(alpha):
     assert mittag_leffler(alpha, 0.0) == 1.0
+    assert mittag_leffler(alpha, -0.0) == 1.0
+    for first in [-2.0, 3.0, -2.0 + 1j]:
+        assert np.all(mittag_leffler(alpha, np.array([first, 0.0, -0.0]))[1:]
+                      == 1.0)
 
 
 # (alpha, x, E_alpha(-x)) frozen from mpmath (series branch, 50 digits).
@@ -178,6 +184,65 @@ def test_ml_long_time_power_law_alpha03_first_correction():
     assert dev == pytest.approx(correction, rel=0.02)
 
 
+# The real-axis fold sums the shared contour's conjugate node pairs in real
+# arithmetic.  The complex path is the same sum without the fold, so the two
+# agree to rounding; the series reference is limited as in the left half
+# plane test below.
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.9, 0.99, 0.999])
+def test_ml_fold_matches_complex_path_and_mpmath(alpha, ml_mpmath):
+    z = -np.logspace(-3, 6, 91)
+    got = mittag_leffler(alpha, z)
+    np.testing.assert_allclose(got, mittag_leffler(alpha, z + 0j).real,
+                               rtol=0.0, atol=1e-12)
+    near = np.abs(z) ** (1.0 / alpha) <= 100.0
+    want = np.array([ml_mpmath(alpha, zz).real for zz in z[near]])
+    np.testing.assert_allclose(got[near], want, rtol=0.0, atol=1e-12)
+
+
+def test_ml_mixed_sign_array_equals_scalar_calls():
+    z = np.array([-1.0e200, -1.0e4, -30.0, -0.5, -0.0, 0.0, 1.0e-3, 0.7,
+                  4.0, 60.0, -7.0])
+    with mock.patch("fracdyn.specfun._ml_contour",
+                    wraps=specfun._ml_contour) as spy:
+        vals = mittag_leffler(0.7, z)
+    # Positive z, and z too large for the fold's d^2, take the complex path
+    # with its pole contour and residue.
+    (a, passed), = [c.args for c in spy.call_args_list]
+    complex_path = (z > 0.0) | (z < -1.0e150)
+    assert a == 0.7 and np.array_equal(passed, z[complex_path])
+    scalar = np.array([mittag_leffler(0.7, zz) for zz in z])
+    # The fold sums each element on its own; pole contours are padded to
+    # the longest one in their chunk, which moves the last bit.
+    assert np.array_equal(vals[~complex_path], scalar[~complex_path])
+    np.testing.assert_allclose(vals, scalar, rtol=1e-14, atol=0.0)
+
+
+def test_ml_slope_closed_forms():
+    # d/dz E_{1/2}(z) at z = -x is 2/sqrt(pi) - 2 x erfcx(x); at z = 0 it is
+    # 1/Gamma(1 + alpha); at alpha = 1 it is exp.
+    for x in np.logspace(-3, 3, 31):
+        want = 2.0 / math.sqrt(math.pi) - 2.0 * x * erfcx(x)
+        assert specfun._ml_slope(0.5, -x) == pytest.approx(want, rel=1e-9,
+                                                           abs=1e-13)
+    for alpha in [0.05, 0.3, 0.7, 0.99]:
+        assert specfun._ml_slope(alpha, 0.0) == pytest.approx(
+            1.0 / _gamma(1.0 + alpha), rel=1e-11)
+    assert specfun._ml_slope(1.0, -2.0) == math.exp(-2.0)
+
+
+def test_ml_fold_array_contract():
+    # All of these take the fold alone.
+    for shape in [(), (5,), (3, 4), (0,), (2, 0)]:
+        z = -np.arange(math.prod(shape), dtype=float).reshape(shape)
+        vals = mittag_leffler(0.6, z)
+        if shape == ():
+            assert type(vals) is float
+        else:
+            assert vals.shape == shape and vals.dtype == np.float64
+        for zz, v in zip(z.ravel(), np.ravel(vals)):
+            assert v == mittag_leffler(0.6, float(zz))
+
+
 # ----------------------------------------------------------------------------
 # Mittag-Leffler: complex plane and array contract
 # ----------------------------------------------------------------------------
@@ -240,9 +305,10 @@ def test_ml_positive_beyond_float_range_is_inf():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(1.0, math.nan)])
 def test_ml_non_finite_element_raises(bad):
-    z = np.array([-1.0, 0.5, bad, 2.0])
-    with pytest.raises(DomainError, match="mittag_leffler"):
-        mittag_leffler(0.7, z)
+    for z in [np.array([-1.0, 0.5, bad, 2.0]),
+              np.array([-1.0, -0.5, bad, -2.0])]:
+        with pytest.raises(DomainError, match="mittag_leffler"):
+            mittag_leffler(0.7, z)
     with pytest.raises(DomainError):
         mittag_leffler(0.7, bad)
 
