@@ -32,8 +32,9 @@ from .errors import (AccuracyError, DomainError, NonConvergenceError,
 from .fitting import FitWindow, fit_fractional
 from .fracsolve import fam_solve, fam_solve_soe, ml_propagate
 from .kernels import soe_compress
-from .lindblad import (DensityMatrix, GKSLGenerator, density_from_json,
-                       dephasing_qubit, generator_from_json, plus_state)
+from .lindblad import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
+                       GKSLGenerator, density_from_json, dephasing_qubit,
+                       generator_from_json, plus_state)
 from .spinboson import (AsymptoticRegime, BathSpec, asymptotic_Q,
                         dephasing_Q, exact_coherence, markov_coherence,
                         markov_fit_rate, tcl_coherence)
@@ -44,11 +45,7 @@ __all__ = ["main"]
 
 _OUT_DIR_ENV = "FRACDYN_OUT_DIR"
 
-_OBSERVABLES = {
-    "sigma_x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "sigma_y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "sigma_z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+_OBSERVABLES = {"sigma_x": PAULI_X, "sigma_y": PAULI_Y, "sigma_z": PAULI_Z}
 
 _REGIMES = {
     "short_time": AsymptoticRegime.ShortTime,
@@ -533,10 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if config["command"] == "subordinate":
             return _cmd_subordinate(config, out, digest, args.threads)
         return _cmd_solve(config, out, digest)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, DomainError) as exc:
+    except (ConfigError, ValidationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (AccuracyError, NumericalInstabilityError) as exc:

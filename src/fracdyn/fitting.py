@@ -19,7 +19,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, ValidationError
-from .specfun import FractionalOrder, _ml_slope, mittag_leffler
+from .specfun import FractionalOrder, _alpha_value, _ml_slope, mittag_leffler
 from .spinboson import AsymptoticRegime, BathSpec, CoherenceSeries, \
     asymptotic_Q, bath_correlation
 
@@ -148,9 +148,7 @@ def rmse_objective(alpha, lam: float, target: CoherenceSeries,
     Magnitudes are compared, making the objective invariant under a global
     phase of the target.
     """
-    a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {a}")
+    a = _alpha_value(alpha)
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"lambda must be positive, got {lam}")
     if u_inf is not None and not (0.0 <= u_inf < 1.0):
@@ -325,9 +323,7 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
     bracket [-40, 40]; a step that leaves the bracket bisects it instead.
     The root must reach 1e-10 in the function value.
     """
-    a = alpha.alpha if isinstance(alpha, FractionalOrder) else float(alpha)
-    if not (0.0 < a <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {a}")
+    a = _alpha_value(alpha)
     if not (t_star > 0.0 and math.isfinite(t_star)):
         raise DomainError(f"t_star must be positive, got {t_star}")
     v_star = u_star

@@ -25,7 +25,8 @@ Two weight schemes are provided (:class:`WeightScheme`):
   predict-evaluate-correct form.  Interior corrector weights are negative for
   alpha < 1 (e.g. sqrt(2)-2 at alpha = 1/2) and the scheme loses the
   O(h^(1+alpha)) order; it is retained for comparison and selected runs only.
-  The alpha -> 1 limit is taken as the classical rectangle/trapezoid pair.
+  The alpha -> 1 limit is taken as the classical rectangle/trapezoid pair,
+  whose corrector weights the predicted point by 1/2.
 
 :func:`fam_solve_soe` replaces the dense history sum with Q exponential
 accumulators driven by a :class:`~fracdyn.kernels.SOEKernel`: the kernel is
@@ -37,8 +38,12 @@ rho(0) through the eigendecomposition of the superoperator.
 
 One set of solver cores serves both modes: each integrates D^alpha u = M u
 for an m x m operator M, the d^2 x d^2 superoperator acting on vec(rho) in
-matrix mode and M = [[-lambda]] in scalar mode (m = 1).  Matrix-mode states
-are checked once, as one stack, after the core has run.
+matrix mode and M = [[-lambda]] in scalar mode (m = 1).  Both cores apply
+every corrector weight the same way, the new point's included.  Matrix mode
+shares the flow layer of :mod:`fracdyn.lindblad` with the subordination
+routes: the initial state is checked and M built by one helper, the
+eigenbasis of :func:`ml_propagate` comes from one rule, and the states of a
+trajectory are admitted once, as one stack, after the core has run.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from __future__ import annotations
 import csv
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -55,13 +59,14 @@ import numpy as np
 from .errors import DomainError, NumericalInstabilityError, ValidationError
 from .kernels import SOEKernel, _coerce_enum
 from .lindblad import (
+    _EIG_COND_MAX,
     DensityMatrix,
     GKSLGenerator,
-    _admit_states,
-    _density_defects,
-    build_superoperator,
+    _admit_flow,
+    _eigenbasis,
+    _flow_operator as _gksl_flow,
+    _nonneg_float,
     unvec,
-    vec,
 )
 from .specfun import FractionalOrder, _alpha_value, mittag_leffler
 
@@ -122,8 +127,7 @@ def _history_weights(
 
     v[i] (i = 0..n) weights the state i grid points behind the new one, the
     same at every step; oldest[k] weights the initial point at step
-    t_k -> t_{k+1} (k = 0..n).  v[0] is the new point's weight, which the
-    solver cores apply themselves.
+    t_k -> t_{k+1} (k = 0..n).
     """
     if a == 1.0:
         # Classical trapezoid limits: [1, 2, ..., 2, 1] against h/Gamma(3)
@@ -284,10 +288,10 @@ def _real_form(A):
 
 
 def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
-    # StandardDFF: (I - pref M) u_{n+1} = u0 + pref * history.  The loop
-    # advances r_{n+1} = (I - pref M) u_{n+1} and g only; u is recovered from
-    # r in one product afterwards.
-    left_inv = np.linalg.inv(np.eye(len(u0)) - pref * M)
+    # StandardDFF: (I - pref v_0 M) u_{n+1} = u0 + pref * history.  The loop
+    # advances r_{n+1} = (I - pref v_0 M) u_{n+1} and g only; u is recovered
+    # from r in one product afterwards.
+    left_inv = np.linalg.inv(np.eye(len(u0)) - (pref * vr[-1]) * M)
     ml = _real_form(M @ left_inv)
     r = np.empty((n_steps + 1, 2 * len(u0)))
     g = np.empty_like(r)
@@ -308,7 +312,7 @@ def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
 
 
 def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
-    # PaperPrinted: predict with b-weights, correct explicitly.
+    # PaperPrinted: predict with b-weights, correct explicitly (v_0 on pred).
     u = np.empty((n_steps + 1, 2 * len(u0)))
     g = np.empty_like(u)
     uf0 = u0.view(np.float64)
@@ -317,7 +321,7 @@ def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
     g[0] = g0.view(np.float64)
     u[1:] = (u0 + (pref * oldest)[:, None] * g0).view(np.float64)
     mr = _real_form(M)
-    pm = pref * mr
+    pm = (pref * vr[-1]) * mr
     vp = pref * vr
     bp = pref * br
     big_n = len(vr) - 1
@@ -433,9 +437,7 @@ def _soe_phi_weights(xi: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 def _validate_solve_args(alpha, h, n_steps, max_horizon):
     a = _alpha_value(alpha)
-    h = float(h)
-    if not (h > 0.0) or not math.isfinite(h):
-        raise DomainError("step h must be finite and > 0")
+    h = _nonneg_float(h, "step h", strict=True)
     n_steps = int(n_steps)
     if n_steps < 1:
         raise DomainError("N must be >= 1")
@@ -449,21 +451,15 @@ def _validate_solve_args(alpha, h, n_steps, max_horizon):
 def _flow_operator(gen, init) -> Tuple[np.ndarray, np.ndarray]:
     """(M, u0) for D^alpha u = M u from ``init``.
 
-    Matrix mode: the superoperator and vec(init).  Scalar mode (a rate
-    lambda for ``gen``): M = [[-lambda]] and u0 = [init].
+    Matrix mode: the superoperator and vec(init), as lindblad checks them.
+    Scalar mode (a rate lambda for ``gen``): M = [[-lambda]], u0 = [init].
     """
-    if not isinstance(gen, GKSLGenerator):
-        lam = complex(gen)
-        if not (lam.real > 0.0) or not math.isfinite(abs(lam)):
-            raise DomainError(
-                "scalar rate lambda must have positive real part")
-        return np.array([[-lam]]), np.array([complex(init)])
-    if not isinstance(init, DensityMatrix):
-        raise ValidationError(
-            "matrix mode requires a DensityMatrix initial state")
-    if init.dim != gen.dim:
-        raise ValidationError("initial state and generator dimensions differ")
-    return build_superoperator(gen).matrix, vec(init.entries)
+    if isinstance(gen, GKSLGenerator):
+        return _gksl_flow(gen, init)
+    lam = complex(gen)
+    if not (lam.real > 0.0) or not math.isfinite(abs(lam)):
+        raise DomainError("scalar rate lambda must have positive real part")
+    return np.array([[-lam]]), np.array([complex(init)])
 
 
 def _trajectory(
@@ -472,31 +468,16 @@ def _trajectory(
 ) -> FracTrajectory:
     """Assemble a trajectory from the core's (N + 1, m) states.
 
-    Matrix mode checks all states 1..N at once: it raises at the first step
+    Matrix mode admits states 1..N as one stack: it raises at the first step
     whose defect exceeds _STATE_FAIL_TOL and warns once if any exceeds
     _STATE_WARN_TOL.
     """
     if not isinstance(init, DensityMatrix):
         return FracTrajectory(alpha, h, scheme, u[:, 0])
     stack = u[1:].reshape(-1, init.dim, init.dim)
-    worst = np.max(_density_defects(stack), axis=0)
-    failed = np.flatnonzero(worst > _STATE_FAIL_TOL)
-    if failed.size:
-        n = int(failed[0]) + 1
-        raise NumericalInstabilityError(
-            f"state invariant defect {worst[n - 1]:g} at step {n} "
-            f"(t = {n * h:g}) exceeds {_STATE_FAIL_TOL:g}"
-        )
-    warned = np.flatnonzero(worst > _STATE_WARN_TOL)
-    if warned.size:
-        n = int(warned[0]) + 1
-        warnings.warn(
-            f"state defect {worst[n - 1]:g} at step {n} above "
-            f"{_STATE_WARN_TOL:g} ({warned.size} steps above it)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    states = _admit_states(stack, 2 * _STATE_FAIL_TOL)
+    states = _admit_flow(stack, "state", _STATE_FAIL_TOL, 2 * _STATE_FAIL_TOL,
+                         warn_tol=_STATE_WARN_TOL,
+                         times=h * np.arange(1, len(stack) + 1), stacklevel=3)
     return FracTrajectory(alpha, h, scheme, (init,) + states)
 
 
@@ -605,26 +586,20 @@ def ml_propagate(
     eigenbasis condition number reaches 1e8 (use :func:`fam_solve` then).
     """
     a = _alpha_value(alpha)
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError("time t must be finite and >= 0")
-    M, rho0 = _flow_operator(gen, init)
+    t = _nonneg_float(t, "time t")
+    M, rho0 = _gksl_flow(gen, init)
     if t == 0.0:
         return init
 
-    evals, V = np.linalg.eig(M)
-    cond = float(np.linalg.cond(V))
-    if not math.isfinite(cond) or cond >= 1e8:
+    basis = _eigenbasis(M)
+    if basis is None:
         raise NumericalInstabilityError(
-            f"superoperator eigenbasis condition number {cond:.3g} >= 1e8; "
+            f"superoperator eigenbasis condition number >= {_EIG_COND_MAX:g}; "
             "use fam_solve instead"
         )
+    evals, V = basis
     coeffs = np.linalg.solve(V, rho0)
     factors = mittag_leffler(a, evals * t**a)
     out = unvec(V @ (factors * coeffs), gen.dim)
-    worst = float(max(_density_defects(out)))
-    if worst > _STATE_FAIL_TOL:
-        raise NumericalInstabilityError(
-            f"spectral propagation defect {worst:g} exceeds {_STATE_FAIL_TOL:g}"
-        )
-    return _admit_states(out[None], 2 * _STATE_FAIL_TOL)[0]
+    return _admit_flow(out[None], "spectral propagation", _STATE_FAIL_TOL,
+                       2 * _STATE_FAIL_TOL)[0]

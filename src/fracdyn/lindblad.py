@@ -55,6 +55,8 @@ __all__ = [
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+for _pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+    _pauli.setflags(write=False)  # shared by the API and the CLI observables
 
 # Validation tolerances: strict construction / runtime warning / hard failure.
 _HERM_TOL = 1e-12
@@ -62,6 +64,7 @@ _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 _FLOW_WARN_TOL = 1e-9
 _FLOW_FAIL_TOL = 1e-7
+_EIG_COND_MAX = 1e8  # eigenbases from this condition number on are refused
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -157,6 +160,49 @@ def _admit_states(stack: np.ndarray, tol: float) -> Tuple[DensityMatrix, ...]:
     return tuple(states)
 
 
+def _admit_flow(stack: np.ndarray, what: str, fail_tol: float,
+                admit_tol: float, warn_tol: float = math.inf,
+                times: Optional[np.ndarray] = None,
+                stacklevel: int = 1) -> Tuple[DensityMatrix, ...]:
+    """States from a stack (k, d, d) of propagated matrices.
+
+    Raises NumericalInstabilityError at the first matrix whose worst
+    defect exceeds ``fail_tol``, warns once if any exceeds ``warn_tol``,
+    then admits the stack with ``admit_tol`` (roundoff accumulates along a
+    flow).  With ``times`` the stack holds steps 1..k of a trajectory at
+    those times, and the messages name the step.  ``stacklevel`` is the one
+    the caller would pass to :func:`warnings.warn`.
+    """
+    worst = np.max(_density_defects(stack), axis=0)
+
+    def where(k):
+        return "" if times is None else f" at step {k + 1} (t = {times[k]:g})"
+
+    failed = np.flatnonzero(worst > fail_tol)
+    if failed.size:
+        k = failed[0]
+        raise NumericalInstabilityError(
+            f"{what} defect {worst[k]:g}{where(k)} exceeds {fail_tol:g}")
+    warned = np.flatnonzero(worst > warn_tol)
+    if warned.size:
+        k = warned[0]
+        count = "" if times is None else f" ({warned.size} steps above it)"
+        warnings.warn(
+            f"{what} defect {worst[k]:g}{where(k)} above {warn_tol:g}{count}",
+            RuntimeWarning, stacklevel=stacklevel + 1)
+    return _admit_states(stack, admit_tol)
+
+
+def _nonneg_float(x, name: str, strict: bool = False) -> float:
+    """``x`` as a float, finite and >= 0 (> 0 if ``strict``), else a
+    DomainError that ``name`` opens (e.g. "time t")."""
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0 or (strict and x == 0.0):
+        raise DomainError(
+            f"{name} must be finite and {'> 0' if strict else '>= 0'}")
+    return x
+
+
 def plus_state() -> DensityMatrix:
     """The qubit state |+><+| with maximal coherence rho_01 = 1/2."""
     return DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
@@ -239,15 +285,39 @@ def build_superoperator(gen: GKSLGenerator) -> Superoperator:
     return Superoperator(d, M)
 
 
+def _flow_operator(flow: Union[GKSLGenerator, Superoperator], init):
+    """(M, vec(init)) for the flow of ``init`` under a generator or its
+    superoperator, once ``init`` is checked to be a DensityMatrix of the
+    flow's dimension."""
+    if not isinstance(init, DensityMatrix):
+        raise ValidationError("init must be a DensityMatrix")
+    if init.dim != flow.dim:
+        raise ValidationError("initial state and generator dimensions differ")
+    if isinstance(flow, GKSLGenerator):
+        flow = build_superoperator(flow)
+    return flow.matrix, vec(init.entries)
+
+
+def _eigenbasis(M: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues and eigenvector matrix V of M = V diag(evals) V^(-1).
+
+    None if V's condition number is not finite or reaches _EIG_COND_MAX:
+    M is then defective or too close to it for V^(-1) to be trusted.
+    """
+    evals, V = np.linalg.eig(M)
+    cond = np.linalg.cond(V)
+    if not math.isfinite(cond) or cond >= _EIG_COND_MAX:
+        return None
+    return evals, V
+
+
 def dephasing_qubit(epsilon: float, gamma: float) -> GKSLGenerator:
     """Pure-dephasing qubit: H = (epsilon/2) sigma_z, jump sigma_z at rate gamma.
 
     The coherence u = rho_10 then obeys du/dt = (i epsilon - 2 gamma) u; with
     gamma = 0 this is the closed (Liouville) qubit.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise DomainError("gamma must be finite and >= 0")
+    gamma = _nonneg_float(gamma, "gamma")
     H = 0.5 * float(epsilon) * PAULI_Z
     channels = ((PAULI_Z, gamma),) if gamma > 0.0 else ()
     return GKSLGenerator(H, channels)
@@ -259,28 +329,14 @@ def semigroup_apply(
     """Propagate ``rho`` by ``expm(u M)`` and re-validate the result."""
     from scipy.linalg import expm
 
-    u = float(u)
-    if not math.isfinite(u) or u < 0.0:
-        raise DomainError("semigroup time u must be finite and >= 0")
-    if rho.dim != superop.dim:
-        raise ValidationError("state and superoperator dimensions differ")
+    u = _nonneg_float(u, "semigroup time u")
+    M, rho0 = _flow_operator(superop, rho)
     if u == 0.0:
         return rho
-    phi = expm(u * superop.matrix)
-    out = unvec(phi @ vec(rho.entries), superop.dim)
-    worst = float(max(_density_defects(out)))
-    if worst > _FLOW_FAIL_TOL:
-        raise NumericalInstabilityError(
-            f"propagated state defect {worst:g} exceeds {_FLOW_FAIL_TOL:g}"
-        )
-    if worst > _FLOW_WARN_TOL:
-        warnings.warn(
-            f"propagated state defect {worst:g} above {_FLOW_WARN_TOL:g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    # Re-admit with flow tolerances; roundoff accumulates along the flow.
-    return _admit_states(out[None], 10.0 * _FLOW_FAIL_TOL)[0]
+    out = unvec(expm(u * M) @ rho0, superop.dim)
+    return _admit_flow(out[None], "propagated state", _FLOW_FAIL_TOL,
+                       10.0 * _FLOW_FAIL_TOL, warn_tol=_FLOW_WARN_TOL,
+                       stacklevel=2)[0]
 
 
 def cptp_diagnostics(
@@ -299,9 +355,7 @@ def cptp_diagnostics(
     if u is None:
         phi = superop.matrix
     else:
-        u = float(u)
-        if not math.isfinite(u) or u < 0.0:
-            raise DomainError("diagnostic time u must be finite and >= 0")
+        u = _nonneg_float(u, "diagnostic time u")
         from scipy.linalg import expm
 
         phi = expm(u * superop.matrix)

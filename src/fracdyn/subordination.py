@@ -19,20 +19,17 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import (
-    AccuracyError,
-    DomainError,
-    NumericalInstabilityError,
-    ValidationError,
-)
+from .errors import AccuracyError, DomainError, ValidationError
 from .lindblad import (
     DensityMatrix,
     GKSLGenerator,
-    _admit_states,
-    _density_defects,
-    build_superoperator,
+    Superoperator,
+    _admit_flow,
+    _eigenbasis,
+    _flow_operator,
+    _nonneg_float,
+    semigroup_apply,
     unvec,
-    vec,
 )
 from .specfun import (
     FractionalOrder,
@@ -74,10 +71,8 @@ class OperationalClock:
             raise DomainError("operational clock requires alpha in (0, 1)")
         if not isinstance(self.alpha, FractionalOrder):
             object.__setattr__(self, "alpha", FractionalOrder(a))
-        t = float(self.t)
-        if not (t > 0.0) or not math.isfinite(t):
-            raise DomainError("clock time t must be finite and > 0")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t",
+                           _nonneg_float(self.t, "clock time t", strict=True))
 
 
 @dataclass(frozen=True)
@@ -85,8 +80,9 @@ class QuadConfig:
     """Discretization rule for the subordination integral.
 
     ``tail_mass`` bounds the truncated mass beyond U_max; panel counts double
-    from ``start_panels`` until two successive refinements agree to
-    ``agree_tol`` (max-abs on the propagated state).
+    from ``start_panels``, at most ``max_doublings`` times, until two
+    successive refinements agree to ``agree_tol`` (max-abs over the entries
+    of the subordinated map Phi).
     """
 
     tail_mass: float = 1e-8
@@ -102,6 +98,9 @@ class QuadConfig:
             raise ValidationError("agree_tol must be > 0")
         if self.nodes_per_panel < 2 or self.start_panels < 1:
             raise ValidationError("invalid quadrature node/panel counts")
+        if self.max_doublings < 1:
+            # Convergence is judged between two refinements.
+            raise ValidationError("max_doublings must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -199,33 +198,25 @@ def _gl_panels(n_panels: int, nodes: int, upper: float):
     return u, wts
 
 
-def _spectral_factors(M: np.ndarray):
-    """Eigendecomposition of the superoperator, or None if unusable."""
-    evals, V = np.linalg.eig(M)
-    cond = np.linalg.cond(V)
-    if not math.isfinite(cond) or cond >= 1e8:
-        return None
-    return evals, V, np.linalg.inv(V)
-
-
 def _subordinated_matrix(
-    gen: GKSLGenerator, a: float, t: float, quad: QuadConfig
+    M: np.ndarray, a: float, t: float, quad: QuadConfig
 ) -> np.ndarray:
-    """The subordinated map Phi(t) = int f_alpha(u,t) e^(uL) du as a matrix."""
-    M = build_superoperator(gen).matrix
+    """The subordinated map Phi(t) = int f_alpha(u,t) e^(uM) du as a matrix."""
     clock = OperationalClock(FractionalOrder(a), t)
     u_max = t**a * _tail_cutoff(a, quad.tail_mass)
-    spectral = _spectral_factors(M)
-    if spectral is None:
+    basis = _eigenbasis(M)
+    if basis is None:
         from scipy.linalg import expm
+    else:
+        evals, V = basis
+        Vinv = np.linalg.inv(V)
     prev = None
     n_panels = quad.start_panels
     for _ in range(quad.max_doublings + 1):
         u, wts = _gl_panels(n_panels, quad.nodes_per_panel, u_max)
         f = levy_density(clock, u)
         coeff = wts * f
-        if spectral is not None:
-            evals, V, Vinv = spectral
+        if basis is not None:
             with np.errstate(over="ignore", under="ignore"):
                 phi = np.exp(np.outer(u, evals))
             phi_w = coeff @ phi
@@ -253,30 +244,19 @@ def subordinated_propagate(
 ) -> DensityMatrix:
     """Evaluate rho(t) = int f_alpha(u, t) e^(uL) rho(0) du deterministically."""
     a = _alpha_value(alpha)
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError("time t must be finite and >= 0")
-    if not isinstance(init, DensityMatrix):
-        raise ValidationError("init must be a DensityMatrix")
-    if init.dim != gen.dim:
-        raise ValidationError("initial state and generator dimensions differ")
+    t = _nonneg_float(t, "time t")
+    M, rho0 = _flow_operator(gen, init)
     if t == 0.0:
         return init
     if quad is None:
         quad = QuadConfig()
     if a == 1.0:
         # Degenerate clock f -> delta(u - t): the ordinary semigroup.
-        from .lindblad import semigroup_apply
-
-        return semigroup_apply(build_superoperator(gen), t, init)
-    phi = _subordinated_matrix(gen, a, t, quad)
-    out = unvec(phi @ vec(init.entries), gen.dim)
-    worst = float(max(_density_defects(out)))
-    if worst > _STATE_TOL:
-        raise NumericalInstabilityError(
-            f"subordinated state defect {worst:g} exceeds {_STATE_TOL:g}"
-        )
-    return _admit_states(out[None], _STATE_TOL)[0]
+        return semigroup_apply(Superoperator(gen.dim, M), t, init)
+    phi = _subordinated_matrix(M, a, t, quad)
+    out = unvec(phi @ rho0, gen.dim)
+    return _admit_flow(out[None], "subordinated state", _STATE_TOL,
+                       _STATE_TOL)[0]
 
 
 def trajectory_estimate(
@@ -298,9 +278,7 @@ def trajectory_estimate(
     a two-pass accumulation.
     """
     a = _alpha_value(alpha)
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise DomainError("time t must be finite and > 0")
+    t = _nonneg_float(t, "time t", strict=True)
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
@@ -309,8 +287,7 @@ def trajectory_estimate(
         raise ValidationError("observable shape does not match generator")
     if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
         raise ValidationError("observable must be Hermitian")
-    if not isinstance(init, DensityMatrix) or init.dim != gen.dim:
-        raise ValidationError("init must be a DensityMatrix of matching dim")
+    M, rho0 = _flow_operator(gen, init)
 
     clock = OperationalClock(FractionalOrder(a), t)
     u = np.empty(n_samples)
@@ -321,14 +298,12 @@ def trajectory_estimate(
         )
         u[lo:hi] = sample_clock(clock, rng, size=hi - lo)
 
-    M = build_superoperator(gen).matrix
-    spectral = _spectral_factors(M)
-    rho0 = vec(init.entries)
+    basis = _eigenbasis(M)
     # tr[O X] = sum_ij O_ji X_ij = vec(O^T) . vec(X) under row-major vec.
     o_row = obs.T.reshape(-1)
-    if spectral is not None:
-        evals, V, Vinv = spectral
-        c = (o_row @ V) * (Vinv @ rho0)
+    if basis is not None:
+        evals, V = basis
+        c = (o_row @ V) * (np.linalg.inv(V) @ rho0)
         # A row sum, not `@ c`: OpenBLAS runs an (n_samples, d^2) complex
         # mat-vec on its thread pool, whose spinning workers slow the other
         # CLI row threads on a 2-core host by about a third.

@@ -8,6 +8,9 @@ statistically against the deterministic quadrature column.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,3 +144,22 @@ def test_fit_demo_matches_committed_output(tmp_path, stem):
         if key in want_fit:
             np.testing.assert_allclose(got_fit[key], want_fit[key],
                                        rtol=FIT_RTOL, atol=0.0, err_msg=key)
+
+
+def test_library_tour_runs():
+    # The tour calls fam_solve, subordinated_propagate, trajectory_estimate
+    # and fit_fractional through the public API.
+    src = str(DEMOS.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+    done = subprocess.run([sys.executable, str(DEMOS / "library_tour.py")],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    for header in ("1. Special functions",
+                   "2. Fractional master equation",
+                   "3. Subordination",
+                   "4. Non-divisibility witness",
+                   "5. Fitting a fractional law"):
+        assert header in done.stdout

@@ -71,7 +71,7 @@ def _loop_dense_explicit(M, u0, pref, vr, oldest, br, n_steps):
         acc = oldest[n] * g[0]
         for m in range(n):
             acc = acc + vr[big_n - n + m] * g[1 + m]
-        u[n + 1] = u0 + pref * (acc + g_pred)
+        u[n + 1] = u0 + pref * (acc + vr[big_n] * g_pred)
         g[n + 1] = M @ u[n + 1]
     return u
 
@@ -276,6 +276,24 @@ class TestScalarSolve:
         tr = fam_solve(1.0, 1.0, 0.01, 100, 1.0, "paper_printed")
         assert abs(complex(tr.states[-1]) - math.exp(-1.0)) < 2e-4
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_paper_printed_steps_with_published_weights(self, alpha):
+        # D u = -u stepped by hand with predictor_weights/corrector_weights:
+        # predict u0 + pref sum_j b_j g_{n-j}, then correct with c[0] on
+        # the predicted point and c[i] on the state at t_{n+1-i}.
+        h, n_steps = 0.01, 100
+        pref = h**alpha / math.gamma(1.0 + alpha)
+        u = [1.0]
+        for n in range(n_steps):
+            b = predictor_weights("paper_printed", alpha, n)
+            c = corrector_weights("paper_printed", alpha, n)
+            pred = 1.0 + pref * sum(b[j] * -u[n - j] for j in range(n + 1))
+            u.append(1.0 + pref * (c[0] * -pred + sum(
+                c[i] * -u[n + 1 - i] for i in range(1, n + 2))))
+        tr = fam_solve(1.0, alpha, h, n_steps, 1.0, "paper_printed")
+        np.testing.assert_allclose(np.asarray(tr.states).real, u,
+                                   rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8])
     def test_convergence_order_standard(self, alpha):
         errs = []
@@ -402,6 +420,7 @@ class TestMatrixSolve:
         message = str(record[0].message)
         assert "at step 3 " in message and "(2 steps above it)" in message
         assert tr.n_steps == 20
+        assert record[0].filename == __file__  # the caller's line
 
     @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])

@@ -235,6 +235,25 @@ def test_liouville_flow_is_isometry():
         assert np.allclose(out.eigenvalues(), rho.eigenvalues(), atol=1e-10)
 
 
+def test_semigroup_warns_at_the_callers_line(monkeypatch):
+    # A map that leaks rho_00 into rho_01: defect 5e-9, between the warn
+    # and fail tolerances.
+    import scipy.linalg
+
+    exact = scipy.linalg.expm
+
+    def skewed(A):
+        phi = exact(A)
+        phi[1, 0] += 1e-8
+        return phi
+
+    monkeypatch.setattr(scipy.linalg, "expm", skewed)
+    sup = build_superoperator(dephasing_qubit(0.0, 0.1))
+    with pytest.warns(RuntimeWarning, match="defect 5e-09 above 1e-09") as rec:
+        semigroup_apply(sup, 1.0, plus_state())
+    assert len(rec) == 1 and rec[0].filename == __file__
+
+
 def test_semigroup_instability_on_trace_violating_matrix():
     bad = Superoperator(2, 0.1 * np.eye(4, dtype=complex))
     with pytest.raises(NumericalInstabilityError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracdyn import subordination
+from fracdyn import lindblad, subordination
 from fracdyn.errors import (
     AccuracyError,
     DomainError,
@@ -275,6 +275,50 @@ class TestSubordinatedPropagate:
             subordinated_propagate(gen, 0.5, 1.0, 0.5)
         with pytest.raises(ValidationError):
             QuadConfig(tail_mass=0.0)
+        for doublings in (0, -3):
+            # Convergence compares two refinements, so at least one doubling.
+            with pytest.raises(ValidationError, match="max_doublings"):
+                QuadConfig(max_doublings=doublings)
+
+
+# Qubit flows for the matrix-exponential fallbacks: pure dephasing with a
+# Hamiltonian, and a driven qubit damped by sigma_- (non-normal M).
+FALLBACK_FLOWS = {
+    "dephasing": dephasing_qubit(2.0, 0.5),
+    "damped": GKSLGenerator(0.7 * PAULI_X + 0.3 * PAULI_Z,
+                            ((np.array([[0.0, 1.0], [0.0, 0.0]]), 0.6),)),
+}
+
+
+class TestExpmFallback:
+    """The routes taken when lindblad._eigenbasis refuses the eigenbasis."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8])
+    @pytest.mark.parametrize("flow", sorted(FALLBACK_FLOWS))
+    def test_fallbacks_match_spectral_route(self, monkeypatch, flow, alpha):
+        gen = FALLBACK_FLOWS[flow]
+        args = (gen, alpha, 1.0, plus_state())
+        spectral = subordinated_propagate(*args)
+        est = trajectory_estimate(*args, PAULI_X, 400, 3)
+        monkeypatch.setattr(subordination, "_eigenbasis", lambda M: None)
+        fallback = subordinated_propagate(*args)
+        est_fallback = trajectory_estimate(*args, PAULI_X, 400, 3)
+        assert np.max(np.abs(fallback.entries - spectral.entries)) <= 1e-12
+        assert abs(est_fallback.mean - est.mean) <= 1e-12
+        assert abs(est_fallback.stderr - est.stderr) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1.0, 5.0])
+    @pytest.mark.parametrize("alpha", [0.7, 0.9])
+    def test_exceptional_point_matches_solver(self, alpha, t):
+        # Driven amplitude damping at Omega = gamma/4: the eigenbasis is
+        # refused (condition number 1.4e8) and the quadrature runs on expm.
+        gen = GKSLGenerator((1.0 / 8.0) * PAULI_X,
+                            ((np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0),))
+        rho0 = DensityMatrix(np.array([[0.0, 0.0], [0.0, 1.0]], complex))
+        assert lindblad._eigenbasis(build_superoperator(gen).matrix) is None
+        out = subordinated_propagate(gen, alpha, t, rho0)
+        ref = fam_solve(gen, alpha, t / 4000, 4000, rho0).final()
+        assert np.max(np.abs(out.entries - ref.entries)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
