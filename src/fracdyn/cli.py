@@ -33,13 +33,13 @@ from .fitting import FitWindow, fit_fractional
 from .fracsolve import fam_solve, fam_solve_soe, ml_propagate
 from .kernels import soe_compress
 from .lindblad import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
-                       GKSLGenerator, density_from_json, dephasing_qubit,
-                       generator_from_json, plus_state)
+                       GKSLGenerator, build_superoperator, density_from_json,
+                       dephasing_qubit, generator_from_json, plus_state)
 from .spinboson import (AsymptoticRegime, BathSpec, asymptotic_Q,
                         dephasing_Q, exact_coherence, markov_coherence,
                         markov_fit_rate, tcl_coherence)
-from .subordination import (divisibility_defect, subordinated_propagate,
-                            trajectory_estimate)
+from .subordination import (_clock_rule, divisibility_defect,
+                            subordinated_propagate, trajectory_estimate)
 
 __all__ = ["main"]
 
@@ -369,7 +369,13 @@ def _cmd_fracfit(config: dict, out: Path, digest: str) -> int:
 def _cmd_subordinate(config: dict, out: Path, digest: str,
                      threads: int) -> int:
     alpha = float(config["alpha"])
-    gen = dephasing_qubit(float(config["epsilon"]), float(config["gamma"]))
+    # A run builds its own quadrature rules, as a fresh process would, so
+    # that its cost and its trace do not depend on earlier runs in the
+    # process; its rows then share them.
+    _clock_rule.cache_clear()
+    # One superoperator for every row and route.
+    flow = build_superoperator(
+        dephasing_qubit(float(config["epsilon"]), float(config["gamma"])))
     init = plus_state()
     obs = _OBSERVABLES[config["observable"]]
     grid = _build_grid(config["grid"])
@@ -381,15 +387,15 @@ def _cmd_subordinate(config: dict, out: Path, digest: str,
         t = float(grid[i])
         if t == 0.0:
             return (t, obs0, obs0, obs0, 0.0, n_samples, seed)
-        rho_quad = subordinated_propagate(gen, alpha, t, init)
+        rho_quad = subordinated_propagate(flow, alpha, t, init)
         quad = float(np.real(np.trace(obs @ rho_quad.entries)))
-        rho_ml = ml_propagate(gen, alpha, t, init)
+        rho_ml = ml_propagate(flow, alpha, t, init)
         ml = float(np.real(np.trace(obs @ rho_ml.entries)))
         if alpha == 1.0:
             # Degenerate clock u = t: every trajectory yields the
             # semigroup value, so the estimator is exact with zero spread.
             return (t, quad, ml, ml, 0.0, n_samples, seed + i)
-        est = trajectory_estimate(gen, alpha, t, init, obs, n_samples,
+        est = trajectory_estimate(flow, alpha, t, init, obs, n_samples,
                                   seed + i)
         return (t, quad, ml, est.mean, est.stderr, n_samples, seed + i)
 

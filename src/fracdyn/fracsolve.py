@@ -62,6 +62,7 @@ from .lindblad import (
     _EIG_COND_MAX,
     DensityMatrix,
     GKSLGenerator,
+    Superoperator,
     _admit_flow,
     _eigenbasis,
     _flow_operator as _gksl_flow,
@@ -573,7 +574,7 @@ def fam_solve_soe(
 
 
 def ml_propagate(
-    gen: GKSLGenerator,
+    gen: Union[GKSLGenerator, Superoperator],
     alpha: _AlphaLike,
     t: float,
     init: DensityMatrix,
@@ -584,6 +585,8 @@ def ml_propagate(
     mode j by E_alpha(lambda_j t^alpha), all modes in one array call (complex
     eigenvalues included).  Raises a diagnostic error if the
     eigenbasis condition number reaches 1e8 (use :func:`fam_solve` then).
+    ``gen`` is the generator or its :class:`Superoperator`; both give the
+    same bits.
     """
     a = _alpha_value(alpha)
     t = _nonneg_float(t, "time t")

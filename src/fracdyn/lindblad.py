@@ -287,8 +287,11 @@ def build_superoperator(gen: GKSLGenerator) -> Superoperator:
 
 def _flow_operator(flow: Union[GKSLGenerator, Superoperator], init):
     """(M, vec(init)) for the flow of ``init`` under a generator or its
-    superoperator, once ``init`` is checked to be a DensityMatrix of the
-    flow's dimension."""
+    superoperator, once ``flow`` is checked to be one of the two and ``init``
+    a DensityMatrix of the flow's dimension."""
+    if not isinstance(flow, (GKSLGenerator, Superoperator)):
+        raise ValidationError(
+            "generator must be a GKSLGenerator or a Superoperator")
     if not isinstance(init, DensityMatrix):
         raise ValidationError("init must be a DensityMatrix")
     if init.dim != flow.dim:

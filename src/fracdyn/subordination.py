@@ -9,13 +9,20 @@ where f_alpha(u, t) = t^(-alpha) M_alpha(u t^(-alpha)) is the inverse-stable
 provides the density, exact stable-clock sampling (Kanter's representation),
 the deterministic subordination quadrature, Monte-Carlo trajectory
 estimation, and the scalar non-divisibility witness.
+
+The clock is self-similar: U(t) has the law of t^alpha U(1), so
+f_alpha(u, t) du = M_alpha(x) dx with x = u t^(-alpha).  The quadrature
+runs in x, where each (alpha, refinement level) has one rule of nodes and
+M-Wright weights, cached and shared by every t.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +63,9 @@ _AlphaLike = Union[float, FractionalOrder]
 _MC_BLOCK = 4096
 # Largest invariant defect of a subordinated state.
 _STATE_TOL = 1e-8
+# Held while a rule is looked up or built: rows run in threads build each
+# rule once, not once per thread.
+_RULE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -149,7 +159,9 @@ def sample_clock(
 
     With V uniform on (0, pi) and W standard exponential, the one-sided
     stable variate is S = (sin(aV)/(sin V)^(1/a)) * (sin((1-a)V)/W)^((1-a)/a)
-    and u = t^a S^(-a) has the inverse-stable density.
+    and u = t^a S^(-a) has the inverse-stable density.  It is evaluated as
+    u = t^a sin V sin(aV)^(-a) (W / sin((1-a)V))^(1-a), which has no 1/a
+    power to underflow or overflow at small a.
     """
     a = _alpha_value(clock.alpha)
     n = 1 if size is None else int(size)
@@ -157,9 +169,8 @@ def sample_clock(
         raise ValidationError("size must be >= 1")
     v = rng_stream.uniform(0.0, math.pi, n)
     w = rng_stream.standard_exponential(n)
-    s = (np.sin(a * v) / np.sin(v) ** (1.0 / a)) \
-        * (np.sin((1.0 - a) * v) / w) ** ((1.0 - a) / a)
-    u = clock.t**a * s ** (-a)
+    u = clock.t**a * np.sin(v) * np.sin(a * v) ** (-a) \
+        * (w / np.sin((1.0 - a) * v)) ** (1.0 - a)
     if size is None:
         return float(u[0])
     return u
@@ -198,12 +209,33 @@ def _gl_panels(n_panels: int, nodes: int, upper: float):
     return u, wts
 
 
+@functools.lru_cache(maxsize=16)
+def _clock_rule(a: float, tail_mass: float, nodes_per_panel: int,
+                n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes x and weights c = w M_alpha(x) of one refinement level.
+
+    Gauss-Legendre panels on [0, x0] of the operational variable
+    x = u t^(-alpha), with x0 = :func:`_tail_cutoff`.  Since
+    f_alpha(u, t) du = M_alpha(x) dx, the rule is the same for every t;
+    a caller maps its nodes to u = t^alpha x.
+    """
+    x, w = _gl_panels(n_panels, nodes_per_panel, _tail_cutoff(a, tail_mass))
+    # At t = 1 the density's scale is exactly 1.0: this is M_alpha(x).
+    c = w * levy_density(OperationalClock(FractionalOrder(a), 1.0), x)
+    x.setflags(write=False)
+    c.setflags(write=False)
+    return x, c
+
+
 def _subordinated_matrix(
     M: np.ndarray, a: float, t: float, quad: QuadConfig
 ) -> np.ndarray:
-    """The subordinated map Phi(t) = int f_alpha(u,t) e^(uM) du as a matrix."""
-    clock = OperationalClock(FractionalOrder(a), t)
-    u_max = t**a * _tail_cutoff(a, quad.tail_mass)
+    """The subordinated map Phi(t) = int f_alpha(u,t) e^(uM) du as a matrix.
+
+    Level k integrates in x = u t^(-alpha) with the cached
+    :func:`_clock_rule` of ``start_panels * 2^k`` panels.
+    """
+    scale = t**a
     basis = _eigenbasis(M)
     if basis is None:
         from scipy.linalg import expm
@@ -213,9 +245,10 @@ def _subordinated_matrix(
     prev = None
     n_panels = quad.start_panels
     for _ in range(quad.max_doublings + 1):
-        u, wts = _gl_panels(n_panels, quad.nodes_per_panel, u_max)
-        f = levy_density(clock, u)
-        coeff = wts * f
+        with _RULE_LOCK:
+            x, coeff = _clock_rule(a, quad.tail_mass, quad.nodes_per_panel,
+                                   n_panels)
+        u = scale * x
         if basis is not None:
             with np.errstate(over="ignore", under="ignore"):
                 phi = np.exp(np.outer(u, evals))
@@ -236,13 +269,17 @@ def _subordinated_matrix(
 
 
 def subordinated_propagate(
-    gen: GKSLGenerator,
+    gen: Union[GKSLGenerator, Superoperator],
     alpha: _AlphaLike,
     t: float,
     init: DensityMatrix,
     quad: Optional[QuadConfig] = None,
 ) -> DensityMatrix:
-    """Evaluate rho(t) = int f_alpha(u, t) e^(uL) rho(0) du deterministically."""
+    """Evaluate rho(t) = int f_alpha(u, t) e^(uL) rho(0) du deterministically.
+
+    ``gen`` is the generator L or its :class:`Superoperator`; both give the
+    same bits.
+    """
     a = _alpha_value(alpha)
     t = _nonneg_float(t, "time t")
     M, rho0 = _flow_operator(gen, init)
@@ -260,7 +297,7 @@ def subordinated_propagate(
 
 
 def trajectory_estimate(
-    gen: GKSLGenerator,
+    gen: Union[GKSLGenerator, Superoperator],
     alpha: _AlphaLike,
     t: float,
     init: DensityMatrix,
@@ -275,19 +312,20 @@ def trajectory_estimate(
     SeedSequence([seed, b]), so the result depends only on
     ``(seed, n_samples)``, never on thread count or call order.  Sample k
     contributes tr[O e^(u_k L) rho(0)].  Mean and standard error come from
-    a two-pass accumulation.
+    a two-pass accumulation.  ``gen`` is the generator L or its
+    :class:`Superoperator`; both give the same bits.
     """
     a = _alpha_value(alpha)
     t = _nonneg_float(t, "time t", strict=True)
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
+    M, rho0 = _flow_operator(gen, init)
     obs = np.asarray(observable, dtype=complex)
     if obs.shape != (gen.dim, gen.dim):
         raise ValidationError("observable shape does not match generator")
     if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
         raise ValidationError("observable must be Hermitian")
-    M, rho0 = _flow_operator(gen, init)
 
     clock = OperationalClock(FractionalOrder(a), t)
     u = np.empty(n_samples)

@@ -4,6 +4,17 @@ import math
 
 import pytest
 
+from fracdyn.subordination import _clock_rule
+
+
+@pytest.fixture(autouse=True)
+def _cold_clock_rules():
+    """Start and leave every test with an empty subordination rule cache,
+    so that no test passes on rules an earlier test built."""
+    _clock_rule.cache_clear()
+    yield
+    _clock_rule.cache_clear()
+
 
 @pytest.fixture(scope="session")
 def ml_mpmath():

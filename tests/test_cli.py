@@ -25,6 +25,7 @@ from fracdyn.fracsolve import fam_solve
 from fracdyn.lindblad import generator_from_json, plus_state
 from fracdyn.specfun import mittag_leffler
 from fracdyn.spinboson import BathSpec, dephasing_Q
+from fracdyn.subordination import _clock_rule
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -338,11 +339,18 @@ class TestSubordinate:
         assert np.all(column(header, rows, "n_samples") == 2000)
 
     def test_thread_count_does_not_change_bytes(self, tmp_path):
-        _, out1 = run(tmp_path, SUB_DOC, out_name="t1.csv",
-                      extra=("--threads", "1"))
-        _, out4 = run(tmp_path, SUB_DOC, out_name="t4.csv",
-                      extra=("--threads", "4"))
-        assert out1.read_bytes() == out4.read_bytes()
+        # Every run starts from an empty rule cache, even when the last run
+        # left it full, and builds each of its two rules once whatever its
+        # thread count: 4 rows x 2 levels are 2 builds and 6 reuses.
+        outputs = []
+        for name, threads in (("t1.csv", "1"), ("t4.csv", "4"),
+                              ("cold2.csv", "2"), ("warm2.csv", "2")):
+            _, out = run(tmp_path, SUB_DOC, out_name=name,
+                         extra=("--threads", threads))
+            info = _clock_rule.cache_info()
+            assert (info.hits, info.misses) == (6, 2)
+            outputs.append(out.read_bytes())
+        assert outputs.count(outputs[0]) == len(outputs)
 
     def test_seed_override_changes_bytes(self, tmp_path):
         _, base = run(tmp_path, SUB_DOC, out_name="s0.csv")

@@ -604,6 +604,17 @@ class TestMlPropagate:
         with pytest.raises(NumericalInstabilityError, match="fam_solve"):
             ml_propagate(gen, 0.7, 1.0, rho0)
 
+    def test_superoperator_gives_same_bits(self):
+        gen = dephasing_qubit(2.0, 0.5)
+        out = ml_propagate(gen, 0.7, 1.5, plus_state())
+        same = ml_propagate(build_superoperator(gen), 0.7, 1.5, plus_state())
+        assert np.array_equal(out.entries, same.entries)
+
+    def test_scalar_rate_rejected(self):
+        # The spectral route is matrix-only: a rate is no generator.
+        with pytest.raises(ValidationError, match="GKSLGenerator"):
+            ml_propagate(1.0, 0.5, 1.0, plus_state())
+
 
 # ---------------------------------------------------------------------------
 # CSV export

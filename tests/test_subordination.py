@@ -1,10 +1,13 @@
 """Tests for Bochner-Phillips subordination: density, sampler, quadrature, MC."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from fracdyn import lindblad, subordination
 from fracdyn.errors import (
@@ -29,6 +32,7 @@ from fracdyn.lindblad import (
 )
 from fracdyn.specfun import (
     FractionalOrder,
+    _mw_integral_batch,
     _mw_series_batch,
     m_wright,
     mittag_leffler,
@@ -174,6 +178,17 @@ class TestSampleClock:
         with pytest.raises(ValidationError):
             sample_clock(c, np.random.default_rng(0), size=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_small_alpha_draws_stay_positive(self):
+        # At alpha = 0.02, sin(V)^(1/alpha) underflows for V near pi; one of
+        # these draws (V = 3.14143, W = 1.97e-4) is u = 5.86e-7, not 0.
+        a = 0.02
+        u = sample_clock(OperationalClock(F(a), 1.0),
+                         np.random.default_rng(3), size=10**6)
+        assert np.all(u > 0.0)
+        se = u.std(ddof=1) / math.sqrt(u.size)
+        assert abs(u.mean() - 1.0 / math.gamma(1.0 + a)) <= 5.0 * se
+
 
 # ---------------------------------------------------------------------------
 # Deterministic subordination quadrature
@@ -280,6 +295,18 @@ class TestSubordinatedPropagate:
             with pytest.raises(ValidationError, match="max_doublings"):
                 QuadConfig(max_doublings=doublings)
 
+    def test_superoperator_gives_same_bits(self):
+        gen = dephasing_qubit(2.0, 0.5)
+        superop = build_superoperator(gen)
+        for alpha in (0.7, 1.0):
+            out = subordinated_propagate(gen, alpha, 1.5, plus_state())
+            same = subordinated_propagate(superop, alpha, 1.5, plus_state())
+            assert np.array_equal(out.entries, same.entries)
+
+    def test_scalar_rate_rejected(self):
+        with pytest.raises(ValidationError, match="GKSLGenerator"):
+            subordinated_propagate(1.0, 0.5, 1.0, plus_state())
+
 
 # Qubit flows for the matrix-exponential fallbacks: pure dephasing with a
 # Hamiltonian, and a driven qubit damped by sigma_- (non-normal M).
@@ -319,6 +346,116 @@ class TestExpmFallback:
         out = subordinated_propagate(gen, alpha, t, rho0)
         ref = fam_solve(gen, alpha, t / 4000, 4000, rho0).final()
         assert np.max(np.abs(out.entries - ref.entries)) <= 1e-7
+
+
+def _u_space_reference(M, a, t, quad_cfg, spectral):
+    """Phi(t) integrated in u itself: Gauss-Legendre panels on
+    [0, t^a x0] weighted by levy_density at t, refined as the route is."""
+    clock = OperationalClock(F(a), t)
+    u_max = t**a * subordination._tail_cutoff(a, quad_cfg.tail_mass)
+    if spectral:
+        evals, V = np.linalg.eig(M)
+        Vinv = np.linalg.inv(V)
+    prev, n_panels = None, quad_cfg.start_panels
+    for _ in range(quad_cfg.max_doublings + 1):
+        u, wts = subordination._gl_panels(n_panels, quad_cfg.nodes_per_panel,
+                                          u_max)
+        coeff = wts * levy_density(clock, u)
+        if spectral:
+            cur = (V * (coeff @ np.exp(np.outer(u, evals)))[None, :]) @ Vinv
+        else:
+            cur = sum(ck * expm(uk * M) for uk, ck in zip(u, coeff))
+        if (prev is not None
+                and np.max(np.abs(cur - prev)) <= quad_cfg.agree_tol):
+            return cur
+        prev = cur
+        n_panels *= 2
+    raise AssertionError("u-space reference did not converge")
+
+
+def _smooth_m_wright(a, z):
+    """M_alpha from the Zolotarev integral alone: smooth in z to rounding."""
+    return _mw_integral_batch(a, np.asarray(z, dtype=float))
+
+
+class TestOperationalTimeRule:
+    """One M-Wright rule per (alpha, level) in x = u t^(-alpha), shared by
+    every t."""
+
+    @pytest.mark.parametrize("route", ["spectral", "expm"])
+    @pytest.mark.parametrize("flow", sorted(FALLBACK_FLOWS))
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 0.95])
+    def test_matches_u_space_reference(self, monkeypatch, alpha, flow, route):
+        M = build_superoperator(FALLBACK_FLOWS[flow]).matrix
+        spectral = route == "spectral"
+        if not spectral:
+            monkeypatch.setattr(subordination, "_eigenbasis", lambda M: None)
+        cfg = QuadConfig()
+
+        def worst():
+            return max(
+                np.max(np.abs(
+                    subordination._subordinated_matrix(M, alpha, t, cfg)
+                    - _u_space_reference(M, alpha, t, cfg, spectral)))
+                for t in (1e-3, 0.5, 5.0, 50.0))
+
+        # The two rules place their nodes an ulp apart, and the M-Wright
+        # series moves by up to 2.4e-10 when its argument moves by one ulp
+        # (alpha = 0.95, z = 1.35): the maps differ by up to 3e-12.
+        assert worst() <= 1e-11
+        # On a density that is smooth to rounding, only the rule is left.
+        monkeypatch.setattr(subordination, "m_wright", _smooth_m_wright)
+        subordination._clock_rule.cache_clear()
+        assert worst() <= 1e-14
+
+    def test_one_rule_per_level_for_every_t(self, monkeypatch):
+        sizes = []
+
+        def counting(a, z):
+            sizes.append(np.size(z))
+            return m_wright(a, z)
+
+        monkeypatch.setattr(subordination, "m_wright", counting)
+        gen = dephasing_qubit(0.0, 1.0)
+        times = np.linspace(0.5, 5.0, 10)
+        for t in times:
+            subordinated_propagate(gen, 0.5, t, plus_state())
+        # Two levels, 8 and 16 panels of 16 nodes, for all ten times.
+        assert sizes == [128, 256]
+        sizes.clear()
+        for t in times + 0.25:
+            subordinated_propagate(gen, 0.5, t, plus_state())
+        assert sizes == []
+
+    def test_threads_build_each_rule_once_and_agree(self):
+        # More workers than cores, switching often: each rule is still
+        # built once, and a cold cache filled at once by every thread gives
+        # the bits a warm cache gives.
+        gen = dephasing_qubit(0.0, 1.0)
+        times = np.linspace(0.5, 5.0, 8)
+
+        def row(t):
+            return subordinated_propagate(gen, 0.5, t, plus_state()).entries
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                cold = list(pool.map(row, times, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert subordination._clock_rule.cache_info().misses == 2
+        for got, t in zip(cold, times):
+            assert np.array_equal(got, row(t))
+
+    def test_rule_arrays_are_read_only(self):
+        x, c = subordination._clock_rule(0.5, 1e-8, 16, 8)
+        assert x.shape == c.shape == (128,)
+        for arr in (x, c):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert subordination._clock_rule(0.5, 1e-8, 16, 8)[0] is x
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +540,19 @@ class TestTrajectoryEstimate:
             TrajectoryEstimate(0.5, -1.0, 10, 0)
         with pytest.raises(ValidationError):
             TrajectoryEstimate(0.5, 0.1, 1, 0)
+
+    def test_superoperator_gives_same_bits(self):
+        gen = dephasing_qubit(2.0, 0.5)
+        args = (0.7, 1.5, plus_state(), PAULI_X, 5000, 17)
+        est = trajectory_estimate(gen, *args)
+        same = trajectory_estimate(build_superoperator(gen), *args)
+        assert np.array_equal([est.mean, est.stderr],
+                              [same.mean, same.stderr])
+
+    def test_scalar_rate_rejected(self):
+        # Checked before the observable, whose shape needs gen.dim.
+        with pytest.raises(ValidationError, match="GKSLGenerator"):
+            trajectory_estimate(1.0, 0.5, 1.0, plus_state(), PAULI_X, 10, 0)
 
     def test_csv_row(self):
         est = TrajectoryEstimate(0.5, 0.01, 100, 7)
