@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 config error, 3 numerical-accuracy failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -276,7 +275,9 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
     Every cell is written as ``str(cell)``: a float as its repr (the shortest
     text that parses back to the same double), an int as its digits, a str
     verbatim.  NumPy scalars print the same way; a float table is passed as
-    ``ndarray.tolist()``.
+    ``ndarray.tolist()``.  The commands' cells are numbers or ``''``, none
+    of which CSV quotes, so the rows are joined as they are: the bytes are
+    those of ``csv.writer(fh, lineterminator="\n")``.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_digest: {digest}\n")
@@ -284,9 +285,8 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
         for comment in extra_comments:
             fh.write(f"# {comment}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(map(str, row) for row in rows)
+        fh.write(",".join(columns) + "\n")
+        fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------

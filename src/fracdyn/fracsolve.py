@@ -43,7 +43,9 @@ every corrector weight the same way, the new point's included.  Matrix mode
 shares the flow layer of :mod:`fracdyn.lindblad` with the subordination
 routes: the initial state is checked and M built by one helper, the
 eigenbasis of :func:`ml_propagate` comes from one rule, and the states of a
-trajectory are admitted once, as one stack, after the core has run.
+trajectory are checked once, as one stack, after the core has run.  The
+trajectory keeps that stack and makes a step's DensityMatrix only when it is
+asked for.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -64,6 +67,8 @@ from .lindblad import (
     GKSLGenerator,
     Superoperator,
     _admit_flow,
+    _admitted_state,
+    _check_flow,
     _eigenbasis,
     _flow_operator as _gksl_flow,
     _nonneg_float,
@@ -178,14 +183,47 @@ def corrector_weights(
 # Trajectory container
 # ----------------------------------------------------------------------------
 
+class _StackedStates(Sequence):
+    """The states of a matrix trajectory: ``init``, then steps 1..N held as
+    one admitted stack (N, d, d).
+
+    A step's DensityMatrix is made when it is first indexed and kept, so a
+    state keeps its identity between accesses (dict.setdefault keeps the
+    first one made, also across threads); ``len`` builds nothing.
+    """
+
+    def __init__(self, init: DensityMatrix, stack: np.ndarray, tol: float):
+        self.init = init
+        self.stack = stack
+        self._tol = tol
+        self._built = {0: init}
+
+    def __len__(self) -> int:
+        return len(self.stack) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[k] for k in range(len(self))[index])
+        k = range(len(self))[index]
+        state = self._built.get(k)
+        if state is None:
+            state = self._built.setdefault(
+                k, _admitted_state(self.stack[k - 1], self._tol))
+        return state
+
+
 @dataclass(frozen=True)
 class FracTrajectory:
-    """Solution of a fractional master equation on a uniform grid t_n = n h."""
+    """Solution of a fractional master equation on a uniform grid t_n = n h.
+
+    ``states`` is an array in scalar mode and a sequence of DensityMatrix
+    in matrix mode.
+    """
 
     alpha: FractionalOrder
     h: float
     scheme: WeightScheme
-    states: Union[np.ndarray, Tuple[DensityMatrix, ...]]
+    states: Union[np.ndarray, Sequence]
 
     @property
     def is_scalar(self) -> bool:
@@ -204,14 +242,14 @@ class FracTrajectory:
     def _matrix_table(self) -> Tuple[list, np.ndarray]:
         """Column names and (N + 1, 1 + 2 d^2) float table of a matrix
         trajectory: t, then re/im of the row-major state entries."""
-        d = self.states[0].dim
+        init, stack = self.states.init, self.states.stack
+        d = init.dim
         columns = ["t"] + [f"{part}_{i}{j}" for i in range(d)
                            for j in range(d) for part in ("re", "im")]
-        stack = np.array([rho.entries for rho in self.states],
-                         dtype=np.complex128)
-        table = np.empty((len(stack), 1 + 2 * d * d))
+        table = np.empty((len(stack) + 1, 1 + 2 * d * d))
         table[:, 0] = self.times()
-        table[:, 1:] = stack.reshape(len(stack), -1).view(np.float64)
+        table[0, 1:] = init.entries.reshape(-1).view(np.float64)
+        table[1:, 1:] = stack.reshape(len(stack), -1).view(np.float64)
         return columns, table
 
     def to_csv(self, path) -> None:
@@ -244,23 +282,27 @@ class FracTrajectory:
 # products use ndarray.dot, whose call overhead on these small operands is
 # well below that of the @ operator.
 #
-# The dense cores step in real form: each complex row is held as its (2m,)
+# All three cores step in real form: each complex row is held as its (2m,)
 # float view (re, im interleaved) and each operator as its _real_form.  The
-# history weights are real, so the history dot is a real gemv over the
-# (n, 2m) float history, with half the flops of a complex one, and no step
-# converts between complex and float.
+# history weights are real, so a history sum is a real gemv over the (n, 2m)
+# float history, with half the flops of a complex one, and no step converts
+# between complex and float.  The SOE core's block rows are complex while
+# they are built, and real from then on.
 
 # Steps composed into one affine map by the SOE core; fewer when the block's
-# rows, B (1 + (Q + 2) m) elements for m x m operators, would exceed
-# _SOE_ROWS_MAX (large d, where they grow like m^2).
+# real rows, B * 2m * 2 (1 + (Q + 2) m) elements for m x m operators, would
+# exceed _SOE_ROWS_MAX (large d, where they grow like m^2).
 _SOE_BLOCK = 64
-_SOE_ROWS_MAX = 1 << 21
+_SOE_ROWS_MAX = 460_000
 # Long history sums are taken in pieces of at most _DOT_CHUNK real elements,
 # so that no per-step gemv reaches OpenBLAS's thread pool: one handoff per
 # step costs far more than the dot itself (milliseconds on a busy core).
 # OpenBLAS 0.3.31 (numpy 2.4 wheels) hands a complex gemv of more than 9216
-# elements to the pool, but keeps a real gemv of these shapes on one thread
-# up to at least 400k elements.
+# elements to the pool, and a real gemv from 460,800 elements on: on a
+# 2-core Haswell host, a (1430, 322) float gemv (460,460 elements) took
+# 195 us with or without OPENBLAS_NUM_THREADS=1, a (1432, 322) one
+# (461,104) took 65 us in the pool and 186 us on one thread; (638, 722)
+# and (639, 722) split the same way.  _SOE_ROWS_MAX stays below that line.
 _DOT_CHUNK = 1 << 16
 
 
@@ -277,14 +319,14 @@ def _history_dot(w, g):
 
 
 def _real_form(A):
-    """The real (2m, 2m) matrix that maps the float view of a complex
-    m-vector x to the float view of A x."""
-    m = len(A)
-    out = np.empty((2 * m, 2 * m))
-    out[0::2, 0::2] = A.real
-    out[0::2, 1::2] = -A.imag
-    out[1::2, 0::2] = A.imag
-    out[1::2, 1::2] = A.real
+    """The real (..., 2p, 2q) stack that maps the float view of a complex
+    q-vector x to the float view of A x, for each (p, q) matrix A of a
+    stack (..., p, q)."""
+    out = np.empty(A.shape[:-2] + (2 * A.shape[-2], 2 * A.shape[-1]))
+    out[..., 0::2, 0::2] = A.real
+    out[..., 0::2, 1::2] = -A.imag
+    out[..., 1::2, 0::2] = A.imag
+    out[..., 1::2, 1::2] = A.real
     return out
 
 
@@ -350,31 +392,32 @@ def _soe_core(M, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, n_steps):
     #   R' = b2 PML + sum_q eh_q^2 phi1_q W_q,
     #   W'_q = w_q PML + eh_q W_q,
     # with PML = P M L.  The accumulators jump ahead in closed form,
-    # H_{n+B} = eh^B H_n + sum_j m_j g_{n-1+j}.  The block mat-vecs go
-    # through einsum rather than BLAS: OpenBLAS would hand them to its thread
-    # pool, which costs milliseconds per call on a busy core.
+    # H_{n+B} = eh^B H_n + sum_j m_j g_{n-1+j}.  A block is one real gemv of
+    # the rows' real form, kept below OpenBLAS's thread-pool size.
     m = len(u0)
     left_inv = np.linalg.inv(np.eye(m) - pref * M)
-    u = np.empty((n_steps + 1, m), dtype=np.complex128)
+    u = np.empty((n_steps + 1, 2 * m))
     g = np.empty_like(u)
-    u[0] = u0
-    g[0] = M @ u0
-    u[1] = left_inv.dot(u0 + pref * alpha_w * g[0])
-    g[1] = M.dot(u[1])
+    uc, gc = u.view(np.complex128), g.view(np.complex128)
+    uc[0] = u0
+    gc[0] = M @ u0
+    uc[1] = left_inv.dot(u0 + pref * alpha_w * gc[0])
+    gc[1] = M.dot(uc[1])
     if n_steps == 1:
-        return u
+        return uc
     n_modes = len(w)
     near = pref * alpha_w + a2
     width = 1 + (2 + n_modes) * m
-    block = max(1, min(_SOE_BLOCK, n_steps - 1, _SOE_ROWS_MAX // (m * width)))
+    block = max(1, min(_SOE_BLOCK, n_steps - 1,
+                       _SOE_ROWS_MAX // (4 * m * width)))
     ml = M.dot(left_inv)
-    # rows[k] = [c, P, R, W] acts on x = (1, g_n, g_{n-1}, H.T.ravel()), with
-    # W[:, :, q] = W_q; the accumulators H (Q x m) live in x.
+    # rows[k] = [c, P, R, W] acts on x = (1, g_n, g_{n-1}, H.ravel()), with
+    # W[:, q, :] = W_q; the accumulators H (Q x m) live in x.
     rows = np.empty((block, m, width), dtype=np.complex128)
     c = left_inv.dot(u0)
     P = near * left_inv
     R = b2 * left_inv
-    W = left_inv[:, :, None] * w
+    W = left_inv[:, None, :] * w[:, None]
     with np.errstate(under="ignore"):
         eh2_phi0 = eh * eh * phi0
         eh2_phi1 = eh * eh * phi1
@@ -382,32 +425,35 @@ def _soe_core(M, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, n_steps):
             rows[k, :, 0] = c
             rows[k, :, 1: 1 + m] = P
             rows[k, :, 1 + m: 1 + 2 * m] = R
-            rows[k, :, 1 + 2 * m:] = W.reshape(m, m * n_modes)
+            rows[k, :, 1 + 2 * m:] = W.reshape(m, n_modes * m)
             pml = P.dot(ml)
             c, P, R, W = (c + pml.dot(u0),
-                          near * pml + R + W.dot(eh2_phi0),
-                          b2 * pml + W.dot(eh2_phi1),
-                          pml[:, :, None] * w + eh * W)
+                          near * pml + R + eh2_phi0.dot(W),
+                          b2 * pml + eh2_phi1.dot(W),
+                          pml[:, None, :] * w[:, None] + eh[:, None] * W)
         # m_j weights g_{n-1+j}: phi1 eh^(B+1-j) for j < B, phi0 eh^(B+2-j)
         # for j >= 1.
         powers = eh[:, None] ** np.arange(block + 1, 1, -1)
-        decay = eh**block
+        decay = (eh**block)[:, None]
     mix = np.zeros((n_modes, block + 1))
     mix[:, :block] = phi1[:, None] * powers
     mix[:, 1:] += phi0[:, None] * powers
-    x = np.zeros(width, dtype=np.complex128)
+    rows = _real_form(rows).reshape(block * 2 * m, 2 * width)
+    mr_t = _real_form(M).T
+    x = np.zeros(2 * width)
     x[0] = 1.0
-    hist = x[1 + 2 * m:].reshape(m, n_modes)  # H.T, updated in place
+    hist = x[2 + 4 * m:].reshape(n_modes, 2 * m)  # H, updated in place
     for n in range(1, n_steps, block):
         stop = min(n + block, n_steps)
-        x[1: 1 + m] = g[n]
-        x[1 + m: 1 + 2 * m] = g[n - 1]
-        u[n + 1: stop + 1] = np.einsum("kij,j->ki", rows[: stop - n], x)
-        g[n + 1: stop + 1] = u[n + 1: stop + 1].dot(M.T)
+        x[2: 2 + 2 * m] = g[n]
+        x[2 + 2 * m: 2 + 4 * m] = g[n - 1]
+        rows[: (stop - n) * 2 * m].dot(
+            x, out=u[n + 1: stop + 1].reshape(-1))
+        u[n + 1: stop + 1].dot(mr_t, out=g[n + 1: stop + 1])
         if stop < n_steps:
-            hist[:] = decay * hist + np.einsum("qj,ji->iq", mix,
-                                               g[n - 1: stop])
-    return u
+            hist *= decay
+            hist += mix.dot(g[n - 1: stop])
+    return uc
 
 
 # ----------------------------------------------------------------------------
@@ -469,17 +515,18 @@ def _trajectory(
 ) -> FracTrajectory:
     """Assemble a trajectory from the core's (N + 1, m) states.
 
-    Matrix mode admits states 1..N as one stack: it raises at the first step
+    Matrix mode checks states 1..N as one stack: it raises at the first step
     whose defect exceeds _STATE_FAIL_TOL and warns once if any exceeds
-    _STATE_WARN_TOL.
+    _STATE_WARN_TOL.  The trajectory keeps the checked stack.
     """
     if not isinstance(init, DensityMatrix):
         return FracTrajectory(alpha, h, scheme, u[:, 0])
     stack = u[1:].reshape(-1, init.dim, init.dim)
-    states = _admit_flow(stack, "state", _STATE_FAIL_TOL, 2 * _STATE_FAIL_TOL,
-                         warn_tol=_STATE_WARN_TOL,
-                         times=h * np.arange(1, len(stack) + 1), stacklevel=3)
-    return FracTrajectory(alpha, h, scheme, (init,) + states)
+    stack = _check_flow(stack, "state", _STATE_FAIL_TOL,
+                        warn_tol=_STATE_WARN_TOL,
+                        times=h * np.arange(1, len(stack) + 1), stacklevel=3)
+    return FracTrajectory(alpha, h, scheme,
+                          _StackedStates(init, stack, 2 * _STATE_FAIL_TOL))
 
 
 def fam_solve(

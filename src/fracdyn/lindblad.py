@@ -142,36 +142,31 @@ class DensityMatrix:
         return np.linalg.eigvalsh(sym)
 
 
-def _admit_states(stack: np.ndarray, tol: float) -> Tuple[DensityMatrix, ...]:
-    """States holding the Hermitian parts of a stack (k, d, d).
+def _admitted_state(entries: np.ndarray, tol: float) -> DensityMatrix:
+    """A state on ``entries``, a read-only Hermitian matrix whose defects the
+    caller has already bounded with :func:`_density_defects`.
 
-    For matrices whose defects the caller has already bounded with
-    :func:`_density_defects`: the states are not checked again, and each
-    records ``tol`` as all three tolerances.
+    The matrix is neither checked nor copied again; the state records
+    ``tol`` as all three tolerances.
     """
-    sym = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
-    sym.setflags(write=False)
-    states = []
-    for entries in sym:
-        state = object.__new__(DensityMatrix)
-        vars(state).update(entries=entries, herm_tol=tol, trace_tol=tol,
-                           psd_tol=tol)
-        states.append(state)
-    return tuple(states)
+    state = object.__new__(DensityMatrix)
+    vars(state).update(entries=entries, herm_tol=tol, trace_tol=tol,
+                       psd_tol=tol)
+    return state
 
 
-def _admit_flow(stack: np.ndarray, what: str, fail_tol: float,
-                admit_tol: float, warn_tol: float = math.inf,
+def _check_flow(stack: np.ndarray, what: str, fail_tol: float,
+                warn_tol: float = math.inf,
                 times: Optional[np.ndarray] = None,
-                stacklevel: int = 1) -> Tuple[DensityMatrix, ...]:
-    """States from a stack (k, d, d) of propagated matrices.
+                stacklevel: int = 1) -> np.ndarray:
+    """The read-only Hermitian parts of a stack (k, d, d) of propagated
+    matrices, once their defects are checked.
 
     Raises NumericalInstabilityError at the first matrix whose worst
-    defect exceeds ``fail_tol``, warns once if any exceeds ``warn_tol``,
-    then admits the stack with ``admit_tol`` (roundoff accumulates along a
-    flow).  With ``times`` the stack holds steps 1..k of a trajectory at
-    those times, and the messages name the step.  ``stacklevel`` is the one
-    the caller would pass to :func:`warnings.warn`.
+    defect exceeds ``fail_tol`` and warns once if any exceeds ``warn_tol``.
+    With ``times`` the stack holds steps 1..k of a trajectory at those
+    times, and the messages name the step.  ``stacklevel`` is the one the
+    caller would pass to :func:`warnings.warn`.
     """
     worst = np.max(_density_defects(stack), axis=0)
 
@@ -190,7 +185,20 @@ def _admit_flow(stack: np.ndarray, what: str, fail_tol: float,
         warnings.warn(
             f"{what} defect {worst[k]:g}{where(k)} above {warn_tol:g}{count}",
             RuntimeWarning, stacklevel=stacklevel + 1)
-    return _admit_states(stack, admit_tol)
+    sym = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
+    sym.setflags(write=False)
+    return sym
+
+
+def _admit_flow(stack: np.ndarray, what: str, fail_tol: float,
+                admit_tol: float, warn_tol: float = math.inf,
+                stacklevel: int = 1) -> Tuple[DensityMatrix, ...]:
+    """States from a stack (k, d, d) of propagated matrices: checked by
+    :func:`_check_flow`, then admitted with ``admit_tol`` (roundoff
+    accumulates along a flow)."""
+    sym = _check_flow(stack, what, fail_tol, warn_tol,
+                      stacklevel=stacklevel + 1)
+    return tuple(_admitted_state(entries, admit_tol) for entries in sym)
 
 
 def _nonneg_float(x, name: str, strict: bool = False) -> float:

@@ -6,6 +6,7 @@ tests cover the console script and the scipy imports deferred to first use.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -510,6 +511,29 @@ class TestSolve:
         _, header, rows = read_csv(out)
         assert column(header, rows, "re_00").tolist() == [1.0] * 6
 
+    @pytest.mark.parametrize("history", ["dense", "soe"])
+    def test_trajectory_builds_no_state_per_step(self, tmp_path, monkeypatch,
+                                                 history):
+        # The table is read off the admitted stack: the only DensityMatrix
+        # made is the initial state.
+        from fracdyn import fracsolve
+        from fracdyn.lindblad import DensityMatrix
+
+        def refuse(*args):
+            raise AssertionError("a per-step state was built")
+
+        checked = []
+        post_init = DensityMatrix.__post_init__
+        monkeypatch.setattr(fracsolve, "_admitted_state", refuse)
+        monkeypatch.setattr(DensityMatrix, "__post_init__",
+                            lambda self: checked.append(post_init(self)))
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.5, "h": 0.01, "n_steps": 200, "history": history}
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        assert len(checked) == 1
+        assert len(read_csv(out)[2]) == 201
+
 
 # The CSV cell text before the array emitter: str for strings, digits for
 # Python and NumPy integers, repr(float(x)) for everything else.
@@ -535,6 +559,25 @@ class TestCsvCells:
         assert lines[-2] == ",".join(_reference_cell(c) for c in row)
         assert lines[-2] == ",3,-12,0.1,-0.0,5e-324,inf,1e+16,-2.5e-07"
         assert lines[-1] == ""
+
+    def test_table_bytes_are_csv_writer_bytes(self, tmp_path):
+        table = np.array([[0.0, 0.1, -2.5e-7, math.nan],
+                          [1e16, math.nan, -0.0, 5e-324],
+                          [math.inf, -math.inf, 1.0 / 3.0, 2.0]])
+        rows = table.tolist() + [(np.float64(0.1), "", 3, np.int64(-12)),
+                                 (math.nan, np.float64(math.nan), "", "")]
+        columns = ["a", "b", "c", "d"]
+        path = tmp_path / "table.csv"
+        cli._emit_csv(path, "abc", columns, rows)
+        text = path.read_bytes().decode("utf-8")
+        body = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("#"))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        assert body == want.getvalue()
+        assert body.count("nan") == 4
 
     def test_trajectory_cells_parse_back_exactly(self, tmp_path):
         gen = {"dim": 2,

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -453,6 +456,95 @@ class TestMatrixSolve:
             fam_solve(gen, 0.5, 0.1, 10, 0.5)  # scalar init, matrix gen
 
 
+def _restacked_table(tr):
+    """The float table of a matrix trajectory, built from its states."""
+    stack = np.array([s.entries for s in tr.states])
+    return np.column_stack((tr.times(),
+                            stack.reshape(len(stack), -1).view(np.float64)))
+
+
+class TestMatrixStates:
+    """Matrix-mode ``states``: a sequence over the admitted stack."""
+
+    @pytest.fixture(params=sorted(MATRIX_FLOWS))
+    def trajectory(self, request):
+        gen, init = MATRIX_FLOWS[request.param]
+        return fam_solve(gen, 0.6, 0.01, 40, init), init
+
+    def test_sequence_contract(self, trajectory):
+        tr, init = trajectory
+        states = tr.states
+        assert len(states) == 41 and tr.n_steps == 40
+        assert states[0] is init and states[-41] is init
+        assert states[-1] is states[40] and states[-2] is states[39]
+        assert tr.final() is states[-1]
+        assert states[-1] is tr.states[-1]  # identity between accesses
+        for index in (41, -42):
+            with pytest.raises(IndexError):
+                states[index]
+        assert states[3:7] == tuple(states[k] for k in range(3, 7))
+        assert states[::-10][0] is states[40]
+        assert len(states[::-10]) == 5
+        listed = list(states)
+        assert len(listed) == 41
+        assert all(a is b for a, b in zip(listed, states[:]))
+
+    def test_identity_holds_across_threads(self, trajectory):
+        # Threads that index the same fresh steps at once all get the same
+        # objects.
+        tr, _ = trajectory
+        workers = 8
+        start = threading.Barrier(workers)
+
+        def list_states(states):
+            start.wait(timeout=60)
+            return list(states)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(20):
+                    states = fracsolve._StackedStates(
+                        tr.states.init, tr.states.stack, 1e-5)
+                    futures = [pool.submit(list_states, states)
+                               for _ in range(workers)]
+                    seen = [f.result(timeout=60) for f in futures]
+                    for listed in seen:
+                        assert all(a is b for a, b in zip(listed, states))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_states_are_admitted(self, trajectory):
+        tr, init = trajectory
+        tol = 2 * fracsolve._STATE_FAIL_TOL
+        for state in tr.states[1:]:
+            assert isinstance(state, DensityMatrix)
+            assert state.herm_tol == state.trace_tol == state.psd_tol == tol
+            np.testing.assert_array_equal(state.entries,
+                                          state.entries.conj().T)
+            with pytest.raises(ValueError):
+                state.entries[0, 0] = 1.0
+
+    def test_table_reads_the_stack(self, trajectory):
+        tr, _ = trajectory
+        columns, table = tr._matrix_table()
+        assert len(columns) == table.shape[1]
+        want = _restacked_table(tr)
+        assert table.shape == want.shape
+        assert table.tobytes() == want.tobytes()
+
+    def test_table_builds_no_state(self, trajectory, monkeypatch):
+        tr, _ = trajectory
+
+        def refuse(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(fracsolve, "_admitted_state", refuse)
+        assert len(tr.states) == 41
+        tr._matrix_table()
+
+
 # ---------------------------------------------------------------------------
 # SOE-compressed solver
 # ---------------------------------------------------------------------------
@@ -478,6 +570,19 @@ class TestSoeSolve:
         )
         assert dev < 10.0 * soe.tol
 
+    @pytest.mark.parametrize("flow", sorted(MATRIX_FLOWS))
+    def test_matrix_flows_match_dense_over_many_blocks(self, flow):
+        # Complex states and a non-normal jump, over 16 blocks or more.
+        gen, init = MATRIX_FLOWS[flow]
+        alpha, h, n = 0.6, 0.01, 1000
+        soe = soe_compress(alpha, t_min=h, t_max=h * n, tol=1e-8)
+        dense = fam_solve(gen, alpha, h, n, init)
+        fast = fam_solve_soe(gen, alpha, h, n, init, soe)
+        assert np.any(dense.states.stack.imag != 0.0)
+        dev = np.max(np.abs(dense._matrix_table()[1]
+                            - fast._matrix_table()[1]))
+        assert dev < 10.0 * soe.tol
+
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 65, 130])
     def test_core_matches_loop_reference(self, monkeypatch, alpha, n):
@@ -501,9 +606,10 @@ class TestSoeSolve:
 
     def test_short_blocks_match_loop_reference(self, monkeypatch):
         # A small row budget cuts the 64-step blocks to 1, 2 and 5 steps.
+        # A step's real rows are 2m x 2 (1 + (2 + Q) m) floats, m = 9.
         gen, init = MATRIX_FLOWS["d3"]
         soe = soe_compress(0.6, t_min=0.01, t_max=1.3, tol=1e-8)
-        step_rows = 9 * (1 + (2 + soe.n_terms) * 9)
+        step_rows = 18 * 2 * (1 + (2 + soe.n_terms) * 9)
         for block in (1, 2, 5):
             monkeypatch.setattr(fracsolve, "_SOE_ROWS_MAX", block * step_rows)
             _assert_rounding_close(*_fast_and_reference(

@@ -15,7 +15,7 @@ from fracdyn.lindblad import (
     DensityMatrix,
     GKSLGenerator,
     Superoperator,
-    _admit_states,
+    _admit_flow,
     _density_defects,
     build_superoperator,
     cptp_diagnostics,
@@ -86,7 +86,7 @@ def test_density_defects_of_a_stack():
 
 def test_admitted_states_are_read_only_hermitian_parts():
     stack = np.array([[[0.5, 0.3], [0.1, 0.5]], np.eye(2) / 2], dtype=complex)
-    states = _admit_states(stack, 1e-3)
+    states = _admit_flow(stack, "state", 1.0, 1e-3)
     assert all(isinstance(s, DensityMatrix) for s in states)
     np.testing.assert_array_equal(states[0].entries,
                                   [[0.5, 0.2], [0.2, 0.5]])
