@@ -522,6 +522,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None:
             if config["command"] != "subordinate":
                 raise ConfigError("--seed applies to subordinate runs only")
+            if args.seed < 0:
+                raise ConfigError("--seed must be >= 0")
             config["seed"] = int(args.seed)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")

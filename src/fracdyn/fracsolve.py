@@ -503,10 +503,15 @@ def _flow_operator(gen, init) -> Tuple[np.ndarray, np.ndarray]:
     """
     if isinstance(gen, GKSLGenerator):
         return _gksl_flow(gen, init)
-    lam = complex(gen)
+    try:
+        lam, u0 = complex(gen), complex(init)
+    except (TypeError, ValueError):
+        raise ValidationError("scalar mode needs numbers for gen and init") from None
     if not (lam.real > 0.0) or not math.isfinite(abs(lam)):
         raise DomainError("scalar rate lambda must have positive real part")
-    return np.array([[-lam]]), np.array([complex(init)])
+    if not math.isfinite(abs(u0)):
+        raise DomainError("scalar init must be finite")
+    return np.array([[-lam]]), np.array([u0])
 
 
 def _trajectory(
@@ -544,8 +549,6 @@ def fam_solve(
     positive scalar rate lambda (scalar mode, L -> multiplication by -lambda).
     Returns the trajectory at t_n = n h for n = 0..N.
     """
-    from scipy.special import gamma
-
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     a, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
     order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(a)
@@ -555,10 +558,10 @@ def fam_solve(
     # vr[j] = v_{n_steps - j}: a contiguous copy for the history dot.
     vr, oldest = v[::-1].copy(), oldest[:-1]
     if scheme is WeightScheme.StandardDFF:
-        pref = h**a / gamma(a + 2.0)
+        pref = h**a / math.gamma(a + 2.0)
         u = _dense_implicit_core(M, u0, pref, vr, oldest, n_steps)
     else:
-        pref = h**a / gamma(1.0 + a)
+        pref = h**a / math.gamma(1.0 + a)
         b = predictor_weights(scheme, a, n_steps)
         u = _dense_explicit_core(M, u0, pref, vr, oldest, b[::-1].copy(),
                                  n_steps)
@@ -581,8 +584,6 @@ def fam_solve_soe(
     the piecewise-linear product integral that underlies those weights) and a
     :class:`~fracdyn.kernels.SOEKernel` valid on [h, N h] at matching alpha.
     """
-    from scipy.special import gamma
-
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     if scheme is not WeightScheme.StandardDFF:
         raise ValidationError("fam_solve_soe supports the StandardDFF scheme only")
@@ -604,17 +605,11 @@ def fam_solve_soe(
         eh = np.exp(-xi * h)
     phi0, phi1 = _soe_phi_weights(xi, h)
 
-    pref = h**a / gamma(a + 2.0)
-    if a == 1.0:
-        # K == 1: the near-field product integrals reduce to trapezoid cells.
-        a2 = 0.5 * h
-        b2 = 0.5 * h
-    else:
-        ha_g = h**a / gamma(a)
-        a2 = ha_g * (2.0 * (2.0**a - 1.0) / a
-                     - (2.0 ** (a + 1.0) - 1.0) / (a + 1.0))
-        b2 = ha_g * ((2.0 ** (a + 1.0) - 1.0) / (a + 1.0)
-                     - (2.0**a - 1.0) / a)
+    pref = h**a / math.gamma(a + 2.0)
+    # Near-field product integrals: exactly h/2 each (trapezoid) at alpha = 1.
+    ha_g = h**a / math.gamma(a)
+    a2 = ha_g * (2.0 * (2.0**a - 1.0) / a - (2.0 ** (a + 1.0) - 1.0) / (a + 1.0))
+    b2 = ha_g * ((2.0 ** (a + 1.0) - 1.0) / (a + 1.0) - (2.0**a - 1.0) / a)
 
     u = _soe_core(M, u0, pref, a, a2, b2, w, eh, phi0, phi1, n_steps)
     return _trajectory(u, order, h, scheme, init)

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import AccuracyError, DomainError, ValidationError
-from .specfun import FractionalOrder, _alpha_value
+from .specfun import FractionalOrder, _alpha_value, _rgamma
 
 __all__ = [
     "KernelKind",
@@ -82,8 +82,6 @@ def kernel_eval(
     kernels are singular at the origin, so ``t <= 0`` raises
     :class:`~fracdyn.errors.DomainError`.
     """
-    from scipy.special import rgamma
-
     kind = _coerce_enum(KernelKind, kind, "kernel kind")
     a = _alpha_value(alpha)
     t_arr = np.asarray(t, dtype=float)
@@ -92,11 +90,11 @@ def kernel_eval(
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr <= 0.0):
         raise DomainError("kernel_eval requires finite t > 0")
     if kind is KernelKind.CaputoInner:
-        vals = t_arr ** (-a) * rgamma(1.0 - a)
+        vals = t_arr ** (-a) * _rgamma(1.0 - a)
     elif kind is KernelKind.Volterra:
-        vals = t_arr ** (a - 1.0) * rgamma(a)
+        vals = t_arr ** (a - 1.0) * _rgamma(a)
     else:
-        vals = t_arr ** (a - 2.0) * rgamma(a - 1.0)
+        vals = t_arr ** (a - 2.0) * _rgamma(a - 1.0)
     if np.ndim(t) == 0:
         return float(vals)
     return vals

@@ -40,7 +40,7 @@ density-generating function of the inverse stable subordinator.  Its series
 suffers the same cancellation blow-up for larger ``z``; there the function is
 evaluated through the Zolotarev-form integral of the one-sided stable density,
 
-    M_alpha(z) = z^((2 alpha - 1)/(1 - alpha)) / (pi (1 - alpha))
+    M_alpha(z) = z^(alpha/(1 - alpha)) / (pi (1 - alpha))
                  * int_0^pi a(phi) exp(-a(phi) z^(1/(1-alpha))) dphi,
     a(phi) = sin(alpha phi)^(alpha/(1-alpha)) * sin((1-alpha) phi)
              * sin(phi)^(-1/(1-alpha)),
@@ -96,14 +96,23 @@ def gamma_fn(x: float) -> float:
     Raises :class:`DomainError` at the poles (x = 0, -1, -2, ...); overflow
     for large positive x returns ``inf`` silently.
     """
-    from scipy.special import gamma
-
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"gamma_fn expects a finite argument, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma_fn pole at non-positive integer x = {x:g}")
-    return float(gamma(x))
+    try:
+        return math.gamma(x)
+    except ValueError:
+        raise DomainError(f"gamma_fn pole at non-positive integer x = {x:g}") from None
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _rgamma(x: float) -> float:
+    """1/Gamma(x) for real x: 0 at the poles and where Gamma overflows."""
+    try:
+        return 1.0 / math.gamma(x)
+    except (ValueError, OverflowError):
+        return 0.0
 
 
 def ml_partial_sum(alpha, z: float, n_terms: int) -> tuple[float, float]:
@@ -114,16 +123,13 @@ def ml_partial_sum(alpha, z: float, n_terms: int) -> tuple[float, float]:
     The bound dominates the remainder for ``|z| <= 1`` and is the standard
     first-omitted-term estimate otherwise.
     """
-    from scipy.special import rgamma
-
     a = _alpha_value(alpha)
     z = float(z)
     n = int(n_terms)
     if n < 0:
         raise DomainError("n_terms must be >= 0")
-    terms = [z**k * rgamma(a * k + 1.0) for k in range(n + 1)]
-    bound = abs(z) ** (n + 1) * rgamma(a * (n + 1) + 1.0)
-    return math.fsum(terms), float(bound)
+    terms = [z**k * _rgamma(a * k + 1.0) for k in range(n + 1)]
+    return math.fsum(terms), abs(z) ** (n + 1) * _rgamma(a * (n + 1) + 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -383,23 +389,22 @@ def _mw_series_coeffs(a: float):
     scales like 70/(1-a): admissible rows peak at index <= ~7/(1-a) and the
     tail decays as exp(-(1-a) n ln n).
     """
-    from scipy.special import gammaln
-
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
     n = np.arange(min(40000, int(80 + 70.0 / (1.0 - a))))
     w = 1.0 - a - a * n
     ln_rg = np.empty(w.shape)
     sgn = np.empty(w.shape)
     pos = w > 0
-    ln_rg[pos] = -gammaln(w[pos])
+    ln_rg[pos] = -lgamma(w[pos])
     sgn[pos] = 1.0
     neg = ~pos
     r = w[neg] - np.round(w[neg])
     sin_r = np.sin(math.pi * r)
     with np.errstate(divide="ignore"):
-        ln_rg[neg] = gammaln(1.0 - w[neg]) + np.log(np.abs(sin_r)) - math.log(math.pi)
+        ln_rg[neg] = lgamma(1.0 - w[neg]) + np.log(np.abs(sin_r)) - math.log(math.pi)
     sgn[neg] = np.sign(sin_r) * np.where(np.round(w[neg]) % 2 == 0, 1.0, -1.0)
     sgn *= np.where(n % 2 == 0, 1.0, -1.0)  # (-z)^n alternation
-    ln_fact = gammaln(n + 1.0)
+    ln_fact = lgamma(n + 1.0)
     return n, ln_rg, sgn, ln_fact
 
 
@@ -409,14 +414,12 @@ def _mw_series_batch(a: float, z: np.ndarray):
     A row is admissible when the largest |term| stays below the cancellation
     budget; the cached series length is enough for every admissible row.
     """
-    from scipy.special import rgamma
-
     z = np.asarray(z, dtype=float)
     n, ln_rg, sgn, ln_fact = _mw_series_coeffs(a)
     vals = np.full(z.shape, np.nan)
     ok = np.zeros(z.shape, dtype=bool)
     zero = z == 0.0
-    vals[zero] = rgamma(1.0 - a)
+    vals[zero] = _rgamma(1.0 - a)
     ok[zero] = True
     pos = ~zero
     if np.any(pos):

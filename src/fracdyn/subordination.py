@@ -320,6 +320,8 @@ def trajectory_estimate(
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValidationError("n_samples must be >= 2")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     M, rho0 = _flow_operator(gen, init)
     obs = np.asarray(observable, dtype=complex)
     if obs.shape != (gen.dim, gen.dim):

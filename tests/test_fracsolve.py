@@ -357,6 +357,23 @@ class TestScalarSolve:
         with pytest.raises(ValidationError):
             fam_solve(1.0, 0.5, 0.1, 10, 1.0, scheme="bogus")
 
+    @pytest.mark.parametrize("history", ["dense", "soe"])
+    def test_scalar_init_checked(self, history):
+        # Scalar mode takes a finite number for init, as for lambda.
+        def solve(init):
+            if history == "dense":
+                return fam_solve(1.0, 0.5, 0.1, 10, init)
+            soe = soe_compress(0.5, t_min=0.1, t_max=1.0, tol=1e-8)
+            return fam_solve_soe(1.0, 0.5, 0.1, 10, init, soe)
+
+        for bad in (plus_state(), "rho", None, [1.0, 0.0]):
+            with pytest.raises(ValidationError, match="init"):
+                solve(bad)
+        for bad in (math.nan, math.inf, -math.inf, complex(0.0, math.nan)):
+            with pytest.raises(DomainError, match="init"):
+                solve(bad)
+        assert complex(solve(np.float64(0.5)).states[0]) == 0.5
+
 
 # ---------------------------------------------------------------------------
 # Matrix solver

@@ -45,6 +45,15 @@ def test_differential_convolution_is_negative_for_small_alpha():
     assert val < 0.0
 
 
+def test_differential_convolution_vanishes_at_alpha_one():
+    # k_1 = t^(-1) / Gamma(0): 1/Gamma is 0 at its pole, and continuous there.
+    t = np.array([1e-3, 0.5, 1.0, 40.0])
+    assert kernel_eval("differential_convolution", 1.0, 2.0) == 0.0
+    assert np.all(kernel_eval("differential_convolution", 1.0, t) == 0.0)
+    near = kernel_eval("differential_convolution", 1.0 - 1e-9, t)
+    np.testing.assert_allclose(near, -1e-9 / t, rtol=1e-6)
+
+
 def test_kernel_eval_accepts_strings_and_arrays():
     t = np.array([0.5, 1.0, 2.0])
     vals = kernel_eval("volterra", 0.5, t)

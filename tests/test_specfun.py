@@ -48,6 +48,27 @@ def test_gamma_poles_raise(bad):
         gamma_fn(bad)
 
 
+def test_gamma_overflow_and_underflow():
+    # Gamma overflows past 171.62 and underflows to a signed zero on the far
+    # negative axis: sign (-1)^181 on (-181, -180), (-1)^182 on (-182, -181).
+    assert math.isfinite(gamma_fn(171.62))
+    for x in (171.63, 180.0, 1e6):
+        assert gamma_fn(x) == math.inf
+    assert gamma_fn(1e-320) == math.inf and gamma_fn(-1e-320) == -math.inf
+    for x, sign in ((-180.5, -1.0), (-181.5, 1.0)):
+        assert gamma_fn(x) == 0.0 and math.copysign(1.0, gamma_fn(x)) == sign
+
+
+def test_gamma_matches_mpmath_across_the_real_line():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    xs = np.concatenate([np.linspace(-170.55, 171.55, 1201),
+                         [-2.5, -1.5, -0.5, -1e-5, 1e-5, 1e-300]])
+    for x in xs[xs != np.round(xs)]:
+        want = mp.gamma(mp.mpf(float(x)))
+        assert abs(gamma_fn(x) - want) <= 2e-15 * abs(want), x
+
+
 def test_fractional_order_accepts_unit_interval():
     assert FractionalOrder(0.5).alpha == 0.5
     assert FractionalOrder(1.0).alpha == 1.0

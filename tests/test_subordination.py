@@ -541,6 +541,12 @@ class TestTrajectoryEstimate:
         with pytest.raises(ValidationError):
             TrajectoryEstimate(0.5, 0.1, 1, 0)
 
+    def test_negative_seed_rejected(self):
+        # A SeedSequence entropy word must be >= 0; the check comes first.
+        with pytest.raises(ValidationError, match="seed"):
+            trajectory_estimate(dephasing_qubit(0.0, 0.5), 0.5, 1.0,
+                                plus_state(), PAULI_X, 10, -3)
+
     def test_superoperator_gives_same_bits(self):
         gen = dephasing_qubit(2.0, 0.5)
         args = (0.7, 1.5, plus_state(), PAULI_X, 5000, 17)
