@@ -18,8 +18,10 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ValidationError
-from .specfun import FractionalOrder, _alpha_value, _ml_slope, mittag_leffler
+from .errors import (DomainError, FractionalOrder, NonConvergenceError,
+                     ValidationError, _count, _nonneg_float, _order,
+                     _unit_interval)
+from .specfun import _ml_slope, mittag_leffler
 from .spinboson import AsymptoticRegime, BathSpec, CoherenceSeries, \
     asymptotic_Q, bath_correlation
 
@@ -54,13 +56,12 @@ class FitWindow:
     t_end: float
 
     def __post_init__(self) -> None:
-        ts, te = float(self.t_start), float(self.t_end)
-        if not (math.isfinite(ts) and math.isfinite(te)):
-            raise ValidationError("FitWindow bounds must be finite")
-        if not (0.0 < ts < te):
+        ts = _nonneg_float(self.t_start, "FitWindow.t_start", strict=True,
+                           err=ValidationError)
+        te = _nonneg_float(self.t_end, "FitWindow.t_end", err=ValidationError)
+        if not ts < te:
             raise ValidationError(
-                f"FitWindow requires 0 < t_start < t_end, got ({ts}, {te})"
-            )
+                f"FitWindow requires 0 < t_start < t_end, got ({ts}, {te})")
 
 
 @dataclass(frozen=True)
@@ -76,18 +77,13 @@ class FitResult:
     u_inf: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, FractionalOrder):
-            object.__setattr__(self, "alpha", FractionalOrder(float(self.alpha)))
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise ValidationError(f"FitResult.lam must be positive, got {self.lam}")
-        if self.rmse < 0.0 or not math.isfinite(self.rmse):
-            raise ValidationError("FitResult.rmse must be finite and >= 0")
-        if self.evaluations < 1:
-            raise ValidationError("FitResult.evaluations must be positive")
-        if self.u_inf is not None and not (0.0 <= self.u_inf < 1.0):
-            raise ValidationError(
-                f"FitResult.u_inf must lie in [0, 1), got {self.u_inf}"
-            )
+        object.__setattr__(self, "alpha", _order(self.alpha))
+        _nonneg_float(self.lam, "FitResult.lam", strict=True, err=ValidationError)
+        _nonneg_float(self.rmse, "FitResult.rmse", err=ValidationError)
+        _count(self.evaluations, "FitResult.evaluations", 1)
+        if self.u_inf is not None:
+            object.__setattr__(self, "u_inf",
+                               _unit_interval(self.u_inf, "FitResult.u_inf"))
 
     def model(self, t) -> np.ndarray:
         """Evaluate the fitted coherence model on an array of times."""
@@ -148,11 +144,10 @@ def rmse_objective(alpha, lam: float, target: CoherenceSeries,
     Magnitudes are compared, making the objective invariant under a global
     phase of the target.
     """
-    a = _alpha_value(alpha)
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if u_inf is not None and not (0.0 <= u_inf < 1.0):
-        raise DomainError(f"u_inf must lie in [0, 1), got {u_inf}")
+    a = _order(alpha).alpha
+    lam = _nonneg_float(lam, "lambda", strict=True)
+    if u_inf is not None:
+        u_inf = _unit_interval(u_inf, "u_inf", DomainError)
     times, mags = _window_samples(target, window)
     resid = _model_values(a, lam, times, u_inf) - mags
     return float(_rmse(resid))
@@ -172,10 +167,7 @@ def _resolve_plateau(target: CoherenceSeries, plateau,
             return math.exp(-q_inf)
         tail = max(5, target.times.size // 10)
         return float(np.median(np.abs(target.values[-tail:])))
-    u_inf = float(plateau)
-    if not (0.0 <= u_inf < 1.0):
-        raise ValidationError(f"plateau must lie in [0, 1), got {u_inf}")
-    return u_inf
+    return _unit_interval(plateau, "plateau")
 
 
 def fit_fractional(target: CoherenceSeries, window: FitWindow,
@@ -198,8 +190,7 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
     """
     from scipy.optimize import minimize
 
-    if max_evaluations < 1:
-        raise ValidationError("max_evaluations must be positive")
+    max_evaluations = _count(max_evaluations, "max_evaluations", 1)
     u_inf = _resolve_plateau(target, plateau, bath)
     times, mags = _window_samples(target, window)
     if np.any(mags <= 0.0):
@@ -265,8 +256,8 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
     alpha_hat = float(min(max(best[0], 1e-12), 1.0))
     lam_hat = math.exp(float(best[1]))
     rmse = rmse_objective(alpha_hat, lam_hat, target, window, u_inf)
-    return FitResult(FractionalOrder(alpha_hat), lam_hat, window, rmse,
-                     count[0], converged, u_inf)
+    return FitResult(alpha_hat, lam_hat, window, rmse, count[0], converged,
+                     u_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +275,7 @@ def local_order_estimate(target: CoherenceSeries,
     """
     mags = np.abs(target.values)
     if plateau is not None:
-        if not (0.0 <= plateau < 1.0):
-            raise DomainError(f"plateau must lie in [0, 1), got {plateau}")
+        plateau = _unit_interval(plateau, "plateau", DomainError)
         mags = (mags - plateau) / (1.0 - plateau)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = -np.log(mags)
@@ -323,13 +313,11 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
     bracket [-40, 40]; a step that leaves the bracket bisects it instead.
     The root must reach 1e-10 in the function value.
     """
-    a = _alpha_value(alpha)
-    if not (t_star > 0.0 and math.isfinite(t_star)):
-        raise DomainError(f"t_star must be positive, got {t_star}")
+    a = _order(alpha).alpha
+    t_star = _nonneg_float(t_star, "t_star", strict=True)
     v_star = u_star
     if u_inf is not None:
-        if not (0.0 <= u_inf < 1.0):
-            raise DomainError(f"u_inf must lie in [0, 1), got {u_inf}")
+        u_inf = _unit_interval(u_inf, "u_inf", DomainError)
         v_star = (u_star - u_inf) / (1.0 - u_inf)
     if not (0.0 < v_star < 1.0):
         raise DomainError(

@@ -59,8 +59,10 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalInstabilityError, ValidationError
-from .kernels import SOEKernel, _coerce_enum
+from .errors import (DomainError, FractionalOrder, NumericalInstabilityError,
+                     ValidationError, _AlphaLike, _coerce_enum, _count,
+                     _nonneg_float, _order)
+from .kernels import SOEKernel
 from .lindblad import (
     _EIG_COND_MAX,
     DensityMatrix,
@@ -71,10 +73,9 @@ from .lindblad import (
     _check_flow,
     _eigenbasis,
     _flow_operator as _gksl_flow,
-    _nonneg_float,
     unvec,
 )
-from .specfun import FractionalOrder, _alpha_value, mittag_leffler
+from .specfun import mittag_leffler
 
 __all__ = [
     "WeightScheme",
@@ -85,8 +86,6 @@ __all__ = [
     "fam_solve_soe",
     "ml_propagate",
 ]
-
-_AlphaLike = Union[float, FractionalOrder]
 
 DEFAULT_MAX_HORIZON = 1.0e6
 
@@ -111,9 +110,8 @@ def predictor_weights(
 ) -> np.ndarray:
     """Predictor weights [b_0 ... b_n] for the requested scheme."""
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
-    a = _alpha_value(alpha)
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    a = _order(alpha).alpha
+    n = _count(n, "n")
     j = np.arange(n + 1, dtype=float)
     if a == 1.0:
         # Both formulas degenerate at alpha = 1; the limit is the rectangle
@@ -172,9 +170,8 @@ def corrector_weights(
     ``StandardDFF`` and h^alpha/Gamma(1+alpha) for ``PaperPrinted``.
     """
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
-    a = _alpha_value(alpha)
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    a = _order(alpha).alpha
+    n = _count(n, "n")
     v, oldest = _history_weights(scheme, a, n)
     return np.append(v, oldest[n])
 
@@ -224,6 +221,9 @@ class FracTrajectory:
     h: float
     scheme: WeightScheme
     states: Union[np.ndarray, Sequence]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _order(self.alpha))
 
     @property
     def is_scalar(self) -> bool:
@@ -483,16 +483,14 @@ def _soe_phi_weights(xi: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _validate_solve_args(alpha, h, n_steps, max_horizon):
-    a = _alpha_value(alpha)
+    order = _order(alpha)
     h = _nonneg_float(h, "step h", strict=True)
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise DomainError("N must be >= 1")
+    n_steps = _count(n_steps, "N", 1, DomainError)
     if h * n_steps > max_horizon:
         raise DomainError(
             f"horizon h*N = {h * n_steps:g} exceeds configured max {max_horizon:g}"
         )
-    return a, h, n_steps
+    return order, h, n_steps
 
 
 def _flow_operator(gen, init) -> Tuple[np.ndarray, np.ndarray]:
@@ -550,8 +548,8 @@ def fam_solve(
     Returns the trajectory at t_n = n h for n = 0..N.
     """
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
-    a, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
-    order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(a)
+    order, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
+    a = order.alpha
     M, u0 = _flow_operator(gen, init)
 
     v, oldest = _history_weights(scheme, a, n_steps)
@@ -587,10 +585,10 @@ def fam_solve_soe(
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     if scheme is not WeightScheme.StandardDFF:
         raise ValidationError("fam_solve_soe supports the StandardDFF scheme only")
-    a, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
-    order = alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(a)
+    order, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
+    a = order.alpha
 
-    if abs(_alpha_value(soe.alpha) - a) > 1e-12:
+    if abs(soe.alpha.alpha - a) > 1e-12:
         raise ValidationError("SOE kernel alpha does not match solver alpha")
     t_lo, t_hi = soe.valid_range
     if t_lo > h * (1.0 + 1e-9) or t_hi < h * n_steps * (1.0 - 1e-9):
@@ -630,7 +628,7 @@ def ml_propagate(
     ``gen`` is the generator or its :class:`Superoperator`; both give the
     same bits.
     """
-    a = _alpha_value(alpha)
+    a = _order(alpha).alpha
     t = _nonneg_float(t, "time t")
     M, rho0 = _gksl_flow(gen, init)
     if t == 0.0:

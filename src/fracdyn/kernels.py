@@ -35,8 +35,10 @@ from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ValidationError
-from .specfun import FractionalOrder, _alpha_value, _rgamma
+from .errors import (AccuracyError, DomainError, FractionalOrder,
+                     ValidationError, _AlphaLike, _coerce_enum, _count,
+                     _order, _points, _shaped)
+from .specfun import _rgamma
 
 __all__ = [
     "KernelKind",
@@ -46,8 +48,6 @@ __all__ = [
     "complete_monotonicity_probe",
 ]
 
-_AlphaLike = Union[float, FractionalOrder]
-
 
 class KernelKind(enum.Enum):
     """The three power-law memory kernels."""
@@ -55,20 +55,6 @@ class KernelKind(enum.Enum):
     CaputoInner = "caputo_inner"
     Volterra = "volterra"
     DifferentialConvolution = "differential_convolution"
-
-
-def _coerce_enum(cls, value, what: str):
-    """The member of enum ``cls`` named by ``value`` (a member, or its name or
-    value in any case, with '-' for '_'); ValidationError "unknown <what>"
-    otherwise."""
-    if isinstance(value, cls):
-        return value
-    if isinstance(value, str):
-        key = value.strip().lower().replace("-", "_")
-        for member in cls:
-            if key in (member.name.lower(), member.value):
-                return member
-    raise ValidationError(f"unknown {what}: {value!r}")
 
 
 def kernel_eval(
@@ -83,21 +69,15 @@ def kernel_eval(
     :class:`~fracdyn.errors.DomainError`.
     """
     kind = _coerce_enum(KernelKind, kind, "kernel kind")
-    a = _alpha_value(alpha)
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.size == 0:
-        return t_arr.copy()
-    if not np.all(np.isfinite(t_arr)) or np.any(t_arr <= 0.0):
-        raise DomainError("kernel_eval requires finite t > 0")
+    a = _order(alpha).alpha
+    t_arr, shape = _points(t, "kernel_eval t", 0.0, strict=True)
     if kind is KernelKind.CaputoInner:
         vals = t_arr ** (-a) * _rgamma(1.0 - a)
     elif kind is KernelKind.Volterra:
         vals = t_arr ** (a - 1.0) * _rgamma(a)
     else:
         vals = t_arr ** (a - 2.0) * _rgamma(a - 1.0)
-    if np.ndim(t) == 0:
-        return float(vals)
-    return vals
+    return _shaped(vals, shape)
 
 
 @dataclass(frozen=True)
@@ -119,6 +99,7 @@ class SOEKernel:
     tol: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", _order(self.alpha))
         if not self.terms:
             raise ValidationError("SOEKernel requires at least one term")
         rates = [xi for _, xi in self.terms]
@@ -145,15 +126,13 @@ class SOEKernel:
         """Evaluate ``sum_q w_q exp(-xi_q t)`` (vectorized over ``t``).
 
         Each value is summed on its own row, so a scalar call gives the same
-        bits as the same time inside an array.
+        bits as the same time inside an array.  Times must be finite, >= 0.
         """
         w, xi = self.weights_rates()
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        t_arr, shape = _points(t, "SOEKernel.evaluate t", 0.0)
         with np.errstate(under="ignore", over="ignore"):
             vals = (np.exp(-np.outer(t_arr, xi)) * w).sum(axis=1)
-        if np.ndim(t) == 0:
-            return float(vals[0])
-        return vals
+        return _shaped(vals, shape)
 
 
 def _mclean_u(y: float) -> float:
@@ -184,12 +163,12 @@ def soe_compress(
     degenerate).  Raises :class:`~fracdyn.errors.AccuracyError` carrying the
     achieved error if the tolerance is not met within 256 terms.
     """
-    a = _alpha_value(alpha)
+    order = _order(alpha)
+    a = order.alpha
     if not (0.0 < t_min <= t_max) or not math.isfinite(t_max):
         raise DomainError("soe_compress requires 0 < t_min <= t_max, finite")
     if not (tol > 0.0):
         raise DomainError("soe_compress requires tol > 0")
-    order = FractionalOrder(a) if not isinstance(alpha, FractionalOrder) else alpha
 
     if a == 1.0:
         # K_1(t) = 1 exactly: a single constant mode.
@@ -256,18 +235,19 @@ def complete_monotonicity_probe(
     that are negative and increasing, such as the differential-convolution
     kernel for alpha < 1).
     """
-    a = _alpha_value(alpha)
+    a = _order(alpha).alpha
     kind = _coerce_enum(KernelKind, kind, "kernel kind")
     pts = np.asarray(list(grid) if not isinstance(grid, np.ndarray) else grid,
                      dtype=float)
-    if not isinstance(order, (int, np.integer)) or order < 0 or order > 6:
-        raise ValidationError("order must be an integer in [0, 6]")
+    order = _count(order, "order")
+    if order > 6:
+        raise ValidationError("order must be a whole number in [0, 6]")
     if pts.ndim != 1 or pts.size < order + 1:
         raise ValidationError("grid must be 1-D with at least order+1 points")
     if np.any(np.diff(pts) <= 0.0):
         raise ValidationError("grid must be strictly increasing")
 
-    f = np.atleast_1d(np.asarray(kernel_eval(kind, a, pts), dtype=float))
+    f = kernel_eval(kind, a, pts)
     if negate:
         f = -f
     d = f.copy()

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, NumericalInstabilityError, ValidationError
+from .errors import (NumericalInstabilityError, ValidationError, _count,
+                     _nonneg_float)
 
 __all__ = [
     "PAULI_X",
@@ -201,16 +202,6 @@ def _admit_flow(stack: np.ndarray, what: str, fail_tol: float,
     return tuple(_admitted_state(entries, admit_tol) for entries in sym)
 
 
-def _nonneg_float(x, name: str, strict: bool = False) -> float:
-    """``x`` as a float, finite and >= 0 (> 0 if ``strict``), else a
-    DomainError that ``name`` opens (e.g. "time t")."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0 or (strict and x == 0.0):
-        raise DomainError(
-            f"{name} must be finite and {'> 0' if strict else '>= 0'}")
-    return x
-
-
 def plus_state() -> DensityMatrix:
     """The qubit state |+><+| with maximal coherence rho_01 = 1/2."""
     return DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
@@ -234,9 +225,7 @@ class GKSLGenerator:
             L = _as_square_complex(jump, "jump operator")
             if L.shape[0] != d:
                 raise ValidationError("jump operator dimension mismatch")
-            rate = float(rate)
-            if not math.isfinite(rate) or rate < 0.0:
-                raise ValidationError("channel rates must be finite and >= 0")
+            rate = _nonneg_float(rate, "channel rates", err=ValidationError)
             L = L.copy()
             L.setflags(write=False)
             norm.append((L, rate))
@@ -258,9 +247,7 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        d = int(self.dim)
-        if d < 1:
-            raise ValidationError("dim must be >= 1")
+        d = _count(self.dim, "dim", 1)
         M = _as_square_complex(self.matrix, "superoperator matrix")
         if M.shape[0] != d * d:
             raise ValidationError("superoperator matrix must be d^2 x d^2")
@@ -405,7 +392,7 @@ def density_to_json(rho: DensityMatrix) -> dict:
 
 def density_from_json(data: dict, **tolerances) -> DensityMatrix:
     try:
-        dim = int(data["dim"])
+        dim = _count(data["dim"], "dim", 1)
         pairs = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
@@ -425,7 +412,7 @@ def generator_to_json(gen: GKSLGenerator) -> dict:
 
 def generator_from_json(data: dict) -> GKSLGenerator:
     try:
-        dim = int(data["dim"])
+        dim = _count(data["dim"], "dim", 1)
         ham = _pairs_to_matrix(data["hamiltonian"], dim, "hamiltonian")
         channels = tuple(
             (_pairs_to_matrix(ch["jump"], dim, "jump"), float(ch["rate"]))

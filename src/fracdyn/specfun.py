@@ -53,12 +53,12 @@ familiar stretched-exponential large-z asymptotic, available separately as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (DomainError, FractionalOrder, _count, _nonneg_float,
+                     _order, _points, _shaped)
 
 __all__ = [
     "FractionalOrder",
@@ -68,26 +68,6 @@ __all__ = [
     "m_wright",
     "m_wright_asymptotic",
 ]
-
-
-@dataclass(frozen=True)
-class FractionalOrder:
-    """A Caputo order ``alpha`` constrained to ``0 < alpha <= 1``."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = float(self.alpha)
-        if not math.isfinite(a) or not 0.0 < a <= 1.0:
-            raise DomainError(f"fractional order must lie in (0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "alpha", a)
-
-
-def _alpha_value(alpha) -> float:
-    """Normalize ``float | FractionalOrder`` to a validated float."""
-    if isinstance(alpha, FractionalOrder):
-        return alpha.alpha
-    return FractionalOrder(float(alpha)).alpha
 
 
 def gamma_fn(x: float) -> float:
@@ -123,13 +103,15 @@ def ml_partial_sum(alpha, z: float, n_terms: int) -> tuple[float, float]:
     The bound dominates the remainder for ``|z| <= 1`` and is the standard
     first-omitted-term estimate otherwise.
     """
-    a = _alpha_value(alpha)
+    a = _order(alpha).alpha
     z = float(z)
-    n = int(n_terms)
-    if n < 0:
-        raise DomainError("n_terms must be >= 0")
-    terms = [z**k * _rgamma(a * k + 1.0) for k in range(n + 1)]
-    return math.fsum(terms), abs(z) ** (n + 1) * _rgamma(a * (n + 1) + 1.0)
+    n = _count(n_terms, "n_terms", 0, DomainError)
+    try:
+        terms = [z**k * _rgamma(a * k + 1.0) for k in range(n + 1)]
+        return math.fsum(terms), abs(z) ** (n + 1) * _rgamma(a * (n + 1) + 1.0)
+    except OverflowError:
+        raise DomainError(f"ml_partial_sum: z^n overflows float64 at "
+                          f"z = {z:g}, n_terms = {n}") from None
 
 
 # --------------------------------------------------------------------------
@@ -349,14 +331,9 @@ def mittag_leffler(alpha, z):
     below ``-1e150``) and complex ``z`` take the complex contour sum, with
     the pole residue where there is one.  See the module docstring.
     """
-    a = _alpha_value(alpha)
-    arr = np.asarray(z)
-    is_complex = np.iscomplexobj(arr)
-    flat = arr.astype(complex if is_complex else float).ravel()
-    bad = ~np.isfinite(flat)
-    if np.any(bad):
-        raise DomainError(
-            f"mittag_leffler expects finite z, got {flat[bad][0].item()!r}")
+    a = _order(alpha).alpha
+    flat, shape = _points(z, "mittag_leffler z")
+    is_complex = np.iscomplexobj(flat)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if a == 1.0:
             out = np.exp(flat)
@@ -366,9 +343,7 @@ def mittag_leffler(alpha, z):
             out = _ml_real(a, flat)
     if is_complex:
         out.imag[flat.imag == 0.0] = 0.0
-    if arr.ndim == 0:
-        return complex(out[0]) if is_complex else float(out[0])
-    return out.reshape(arr.shape)
+    return _shaped(out, shape)
 
 
 # --------------------------------------------------------------------------
@@ -492,15 +467,10 @@ def m_wright(alpha, z):
     ``z`` may be a scalar (returns ``float``) or an array (returns an array
     of the same shape, evaluated 128 points at a time).
     """
-    a = _alpha_value(alpha)
-    arr = np.asarray(z, dtype=float)
-    bad = (arr < 0.0) | ~np.isfinite(arr)
-    if np.any(bad):
-        raise DomainError(
-            f"m_wright expects finite z >= 0, got {float(arr[bad][0])!r}")
+    a = _order(alpha).alpha
+    flat, shape = _points(z, "m_wright z", 0.0)
     if a == 1.0:
         raise DomainError("M_1 degenerates to a point mass; alpha must be < 1")
-    flat = arr.ravel()
     out = np.empty(flat.shape)
     for lo in range(0, flat.size, _MW_CHUNK):
         zc = flat[lo:lo + _MW_CHUNK]
@@ -508,9 +478,7 @@ def m_wright(alpha, z):
         if not np.all(ok):
             vals[~ok] = _mw_integral_batch(a, zc[~ok])
         out[lo:lo + _MW_CHUNK] = vals
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _shaped(out, shape)
 
 
 def m_wright_asymptotic(alpha, z: float) -> float:
@@ -522,12 +490,10 @@ def m_wright_asymptotic(alpha, z: float) -> float:
     estimate (truncation of subordination integrals); for values use
     :func:`m_wright`.
     """
-    a = _alpha_value(alpha)
+    a = _order(alpha).alpha
     if a == 1.0:
         raise DomainError("M_1 degenerates to a point mass; alpha must be < 1")
-    z = float(z)
-    if z <= 0.0:
-        raise DomainError("asymptotic form needs z > 0")
+    z = _nonneg_float(z, "asymptotic form z", strict=True)
     one = 1.0 - a
     p = (a - 0.5) / one
     amp = a**p / math.sqrt(2.0 * math.pi * one)

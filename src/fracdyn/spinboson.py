@@ -21,7 +21,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import (DomainError, ValidationError, _nonneg_float, _points,
+                     _shaped)
 
 __all__ = [
     "AsymptoticRegime",
@@ -77,17 +78,13 @@ class BathSpec:
 def spectral_density(bath: BathSpec, omega) -> Union[float, np.ndarray]:
     """Evaluate J(omega) = eta * omega^chi * omega_c^(1-chi) * e^(-omega/omega_c).
 
-    Accepts a scalar or an array of non-negative frequencies.
+    ``omega``: a scalar or any-shape array of finite frequencies >= 0.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise DomainError("spectral_density requires omega >= 0")
+    w, shape = _points(omega, "spectral_density omega", 0.0)
     out = bath.eta * w**bath.chi * bath.omega_c ** (1.0 - bath.chi) * np.exp(
         -w / bath.omega_c
     )
-    if np.isscalar(omega) or np.ndim(omega) == 0:
-        return float(out)
-    return out
+    return _shaped(out, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -176,20 +173,14 @@ def _on_times(bath: BathSpec, t, what: str, p: float, order, amp: float):
     A chi so large that a Gamma factor of the series overflows (about 170
     at beta = inf, 150 at finite beta) is a :class:`DomainError`.
     """
-    arr = np.asarray(t, dtype=float)
-    bad = (arr < 0.0) | ~np.isfinite(arr)
-    if np.any(bad):
-        raise DomainError(
-            f"{what} requires finite t >= 0, got {float(arr[bad][0])!r}")
+    arr, shape = _points(t, f"{what} t", 0.0)
     try:
         out = _thermal_sum(bath, bath.omega_c * arr, p, order, amp)
     except OverflowError:
         raise DomainError(
             f"{what}: chi = {bath.chi:g} overflows the Gamma factors of "
             f"its closed form") from None
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return _shaped(out, shape)
 
 
 def dephasing_Q(bath: BathSpec, t) -> Union[float, np.ndarray]:
@@ -348,8 +339,7 @@ def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime,
     """
     if not isinstance(regime, AsymptoticRegime):
         raise ValidationError("regime must be an AsymptoticRegime")
-    if not math.isfinite(t) or t <= 0.0:
-        raise DomainError(f"asymptotic_Q requires t > 0, got {t}")
+    t = _nonneg_float(t, "asymptotic_Q t", strict=True)
     eta, chi, wc = bath.eta, bath.chi, bath.omega_c
     if regime is AsymptoticRegime.ShortTime:
         return 0.5 * eta * _chi_gamma(bath, chi + 1.0) * wc * wc * t * t
@@ -405,8 +395,7 @@ def markov_fit_rate(series: CoherenceSeries,
 
 def markov_coherence(gamma: float, epsilon: float, grid) -> CoherenceSeries:
     """Constant-rate model u_M(t) = e^{i epsilon t} e^{-2 gamma t}."""
-    if not math.isfinite(gamma) or gamma <= 0.0:
-        raise DomainError(f"markov_coherence requires gamma > 0, got {gamma}")
+    gamma = _nonneg_float(gamma, "markov_coherence gamma", strict=True)
     times = _validated_grid(grid)
     values = np.exp((1j * epsilon - 2.0 * gamma) * times)
     return CoherenceSeries(times, values, "markov")

@@ -26,7 +26,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, ValidationError
+from .errors import (AccuracyError, DomainError, FractionalOrder,
+                     ValidationError, _AlphaLike, _count, _nonneg_float,
+                     _order, _points, _shaped)
 from .lindblad import (
     DensityMatrix,
     GKSLGenerator,
@@ -34,17 +36,10 @@ from .lindblad import (
     _admit_flow,
     _eigenbasis,
     _flow_operator,
-    _nonneg_float,
     semigroup_apply,
     unvec,
 )
-from .specfun import (
-    FractionalOrder,
-    _alpha_value,
-    m_wright,
-    m_wright_asymptotic,
-    mittag_leffler,
-)
+from .specfun import m_wright, m_wright_asymptotic, mittag_leffler
 
 __all__ = [
     "OperationalClock",
@@ -56,8 +51,6 @@ __all__ = [
     "trajectory_estimate",
     "divisibility_defect",
 ]
-
-_AlphaLike = Union[float, FractionalOrder]
 
 # Monte-Carlo samples per seeded block in trajectory_estimate.
 _MC_BLOCK = 4096
@@ -76,11 +69,10 @@ class OperationalClock:
     t: float
 
     def __post_init__(self):
-        a = _alpha_value(self.alpha)
-        if not 0.0 < a < 1.0:
+        order = _order(self.alpha)
+        if order.alpha == 1.0:
             raise DomainError("operational clock requires alpha in (0, 1)")
-        if not isinstance(self.alpha, FractionalOrder):
-            object.__setattr__(self, "alpha", FractionalOrder(a))
+        object.__setattr__(self, "alpha", order)
         object.__setattr__(self, "t",
                            _nonneg_float(self.t, "clock time t", strict=True))
 
@@ -106,11 +98,10 @@ class QuadConfig:
             raise ValidationError("tail_mass must lie in (0, 1)")
         if not (self.agree_tol > 0.0):
             raise ValidationError("agree_tol must be > 0")
-        if self.nodes_per_panel < 2 or self.start_panels < 1:
-            raise ValidationError("invalid quadrature node/panel counts")
-        if self.max_doublings < 1:
-            # Convergence is judged between two refinements.
-            raise ValidationError("max_doublings must be >= 1")
+        _count(self.nodes_per_panel, "nodes_per_panel", 2)
+        _count(self.start_panels, "start_panels", 1)
+        # Convergence is judged between two refinements.
+        _count(self.max_doublings, "max_doublings", 1)
 
 
 @dataclass(frozen=True)
@@ -123,10 +114,8 @@ class TrajectoryEstimate:
     seed: int
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise ValidationError("n_samples must be >= 2")
-        if self.stderr < 0.0:
-            raise ValidationError("stderr must be >= 0")
+        _count(self.n_samples, "n_samples", 2)
+        _nonneg_float(self.stderr, "stderr", err=ValidationError)
 
     def csv_row(self, t: float) -> str:
         """CSV row ``t,mean,stderr,M,seed``."""
@@ -142,12 +131,10 @@ def levy_density(clock: OperationalClock, u) -> Union[float, np.ndarray]:
     ``u`` may be a scalar (returns ``float``) or an array of any shape,
     evaluated in one vectorized :func:`m_wright` call.
     """
-    a = _alpha_value(clock.alpha)
+    a = clock.alpha.alpha
     scale = clock.t ** (-a)
-    arr = np.asarray(u, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise DomainError("u must be finite and >= 0")
-    return scale * m_wright(a, arr * scale)
+    flat, shape = _points(u, "levy_density u", 0.0)
+    return _shaped(scale * m_wright(a, flat * scale), shape)
 
 
 def sample_clock(
@@ -163,10 +150,8 @@ def sample_clock(
     u = t^a sin V sin(aV)^(-a) (W / sin((1-a)V))^(1-a), which has no 1/a
     power to underflow or overflow at small a.
     """
-    a = _alpha_value(clock.alpha)
-    n = 1 if size is None else int(size)
-    if n < 1:
-        raise ValidationError("size must be >= 1")
+    a = clock.alpha.alpha
+    n = 1 if size is None else _count(size, "size", 1)
     v = rng_stream.uniform(0.0, math.pi, n)
     w = rng_stream.standard_exponential(n)
     u = clock.t**a * np.sin(v) * np.sin(a * v) ** (-a) \
@@ -221,7 +206,7 @@ def _clock_rule(a: float, tail_mass: float, nodes_per_panel: int,
     """
     x, w = _gl_panels(n_panels, nodes_per_panel, _tail_cutoff(a, tail_mass))
     # At t = 1 the density's scale is exactly 1.0: this is M_alpha(x).
-    c = w * levy_density(OperationalClock(FractionalOrder(a), 1.0), x)
+    c = w * levy_density(OperationalClock(a, 1.0), x)
     x.setflags(write=False)
     c.setflags(write=False)
     return x, c
@@ -280,7 +265,7 @@ def subordinated_propagate(
     ``gen`` is the generator L or its :class:`Superoperator`; both give the
     same bits.
     """
-    a = _alpha_value(alpha)
+    a = _order(alpha).alpha
     t = _nonneg_float(t, "time t")
     M, rho0 = _flow_operator(gen, init)
     if t == 0.0:
@@ -315,13 +300,9 @@ def trajectory_estimate(
     a two-pass accumulation.  ``gen`` is the generator L or its
     :class:`Superoperator`; both give the same bits.
     """
-    a = _alpha_value(alpha)
-    t = _nonneg_float(t, "time t", strict=True)
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValidationError("n_samples must be >= 2")
-    if seed < 0:
-        raise ValidationError("seed must be >= 0")
+    clock = OperationalClock(alpha, t)
+    n_samples = _count(n_samples, "n_samples", 2)
+    seed = _count(seed, "seed")
     M, rho0 = _flow_operator(gen, init)
     obs = np.asarray(observable, dtype=complex)
     if obs.shape != (gen.dim, gen.dim):
@@ -329,7 +310,6 @@ def trajectory_estimate(
     if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
         raise ValidationError("observable must be Hermitian")
 
-    clock = OperationalClock(FractionalOrder(a), t)
     u = np.empty(n_samples)
     for b, lo in enumerate(range(0, n_samples, _MC_BLOCK)):
         hi = min(lo + _MC_BLOCK, n_samples)
@@ -359,7 +339,7 @@ def trajectory_estimate(
     mean = float(np.mean(real_vals))
     std = float(np.std(real_vals, ddof=1))
     return TrajectoryEstimate(mean, std / math.sqrt(n_samples),
-                              n_samples, int(seed))
+                              n_samples, seed)
 
 
 def divisibility_defect(
@@ -370,12 +350,10 @@ def divisibility_defect(
     Vanishes identically at alpha = 1 (exponential semigroup); positive for
     alpha < 1 — the fractional relaxation family is not a semigroup.
     """
-    a = _alpha_value(alpha)
-    lam = float(lam)
+    a = _order(alpha).alpha
+    lam = _nonneg_float(lam, "lambda", strict=True)
     t = float(t)
     tau = float(tau)
-    if not (lam > 0.0):
-        raise DomainError("lambda must be > 0")
     if not (0.0 < tau < t):
         raise DomainError("tau must lie strictly between 0 and t")
     full, head, tail = mittag_leffler(

@@ -1,0 +1,156 @@
+"""The argument contract every public function shares (fracdyn.errors).
+
+An order alpha outside (0, 1] is a DomainError wherever alpha is taken, and
+a count that is not a whole number raises its site's error class instead
+of being truncated.  The alpha table is checked against ``fracdyn.__all__``,
+so a public function added with an ``alpha`` parameter must join it.
+"""
+
+import inspect
+import math
+
+import numpy as np
+import pytest
+
+import fracdyn
+from fracdyn import (
+    BathSpec,
+    DomainError,
+    FitResult,
+    FitWindow,
+    FracTrajectory,
+    FractionalOrder,
+    OperationalClock,
+    SOEKernel,
+    TrajectoryEstimate,
+    ValidationError,
+    WeightScheme,
+    complete_monotonicity_probe,
+    corrector_weights,
+    dephasing_qubit,
+    divisibility_defect,
+    exact_coherence,
+    fam_solve,
+    fam_solve_soe,
+    kernel_eval,
+    lambda_from_point,
+    m_wright,
+    mittag_leffler,
+    ml_partial_sum,
+    ml_propagate,
+    plus_state,
+    predictor_weights,
+    rmse_objective,
+    sample_clock,
+    soe_compress,
+    subordinated_propagate,
+    trajectory_estimate,
+)
+from fracdyn.lindblad import PAULI_X
+
+GEN = dephasing_qubit(1.0, 0.5)
+RHO = plus_state()
+KERNEL = soe_compress(0.5, 0.01, 10.0, 1e-6)
+SERIES = exact_coherence(BathSpec(1.0, 0.5), 0.0, np.linspace(0.0, 10.0, 41))
+WINDOW = FitWindow(1.0, 9.0)
+GRID = np.geomspace(0.1, 10.0, 20)
+
+# Every public callable that takes alpha, called with valid other arguments.
+ALPHA_CALLS = {
+    "FractionalOrder": lambda a: FractionalOrder(a),
+    "mittag_leffler": lambda a: mittag_leffler(a, -1.0),
+    "ml_partial_sum": lambda a: ml_partial_sum(a, -1.0, 10),
+    "m_wright": lambda a: m_wright(a, 1.0),
+    "SOEKernel": lambda a: SOEKernel(a, ((1.0, 0.0),), (0.1, 1.0), 1e-3),
+    "kernel_eval": lambda a: kernel_eval("volterra", a, 1.0),
+    "soe_compress": lambda a: soe_compress(a, 0.1, 10.0, 1e-6),
+    "complete_monotonicity_probe":
+        lambda a: complete_monotonicity_probe(a, "volterra", GRID, 2),
+    "FracTrajectory": lambda a: FracTrajectory(
+        a, 0.1, WeightScheme.StandardDFF, np.ones(3, dtype=complex)),
+    "predictor_weights": lambda a: predictor_weights("standard_dff", a, 3),
+    "corrector_weights": lambda a: corrector_weights("standard_dff", a, 3),
+    "fam_solve": lambda a: fam_solve(1.0, a, 0.1, 10, 1.0),
+    "fam_solve_soe": lambda a: fam_solve_soe(1.0, a, 0.1, 10, 1.0, KERNEL),
+    "ml_propagate": lambda a: ml_propagate(GEN, a, 1.0, RHO),
+    "OperationalClock": lambda a: OperationalClock(a, 1.0),
+    "subordinated_propagate":
+        lambda a: subordinated_propagate(GEN, a, 1.0, RHO),
+    "trajectory_estimate":
+        lambda a: trajectory_estimate(GEN, a, 1.0, RHO, PAULI_X, 10, 0),
+    "divisibility_defect": lambda a: divisibility_defect(a, 1.0, 2.0, 1.0),
+    "rmse_objective": lambda a: rmse_objective(a, 1.0, SERIES, WINDOW),
+    "lambda_from_point": lambda a: lambda_from_point(a, 1.0, 0.5),
+    "FitResult": lambda a: FitResult(a, 1.0, WINDOW, 0.1, 1, True),
+}
+
+
+def _takes_alpha(obj) -> bool:
+    try:
+        return "alpha" in inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # builtins without a signature
+        return False
+
+
+ALPHA_TAKERS = sorted(name for name in fracdyn.__all__
+                      if callable(getattr(fracdyn, name))
+                      and _takes_alpha(getattr(fracdyn, name)))
+
+
+def test_alpha_table_is_every_public_alpha_callable():
+    assert ALPHA_TAKERS == sorted(ALPHA_CALLS)
+
+
+@pytest.mark.parametrize("name", ALPHA_TAKERS)
+def test_alpha_table_calls_run_at_valid_alpha(name):
+    ALPHA_CALLS[name](0.5)
+    if name != "FractionalOrder":
+        ALPHA_CALLS[name](FractionalOrder(0.5))
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("name", ALPHA_TAKERS)
+def test_alpha_outside_unit_interval_is_domain_error(name, bad):
+    with pytest.raises(DomainError):
+        ALPHA_CALLS[name](bad)
+
+
+# Every public count: (call with the count, the site's error class).
+COUNT_CALLS = {
+    "fam_solve n_steps": (lambda n: fam_solve(1.0, 0.5, 0.01, n, 1.0),
+                          DomainError),
+    "fam_solve_soe n_steps":
+        (lambda n: fam_solve_soe(1.0, 0.5, 0.01, n, 1.0, KERNEL), DomainError),
+    "trajectory_estimate n_samples":
+        (lambda n: trajectory_estimate(GEN, 0.5, 1.0, RHO, PAULI_X, n, 0),
+         ValidationError),
+    "sample_clock size":
+        (lambda n: sample_clock(OperationalClock(0.5, 1.0),
+                                np.random.default_rng(0), size=n),
+         ValidationError),
+    "ml_partial_sum n_terms": (lambda n: ml_partial_sum(0.5, -1.0, n),
+                               DomainError),
+    "predictor_weights n":
+        (lambda n: predictor_weights("standard_dff", 0.5, n), ValidationError),
+    "corrector_weights n":
+        (lambda n: corrector_weights("standard_dff", 0.5, n), ValidationError),
+}
+
+
+@pytest.mark.parametrize("bad", [2.7, 100.9, 2.5, True, math.nan, "3"])
+@pytest.mark.parametrize("site", sorted(COUNT_CALLS))
+def test_count_that_is_not_whole_raises_site_error(site, bad):
+    call, error = COUNT_CALLS[site]
+    with pytest.raises(error, match="whole number"):
+        call(bad)
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_CALLS))
+def test_integral_float_count_is_the_int(site):
+    call, _ = COUNT_CALLS[site]
+    got, want = call(3.0), call(3)
+    if isinstance(want, FracTrajectory):
+        got, want = got.states, want.states
+    elif isinstance(want, TrajectoryEstimate):
+        got, want = (got.mean, got.stderr), (want.mean, want.stderr)
+    assert np.array_equal(got, want)

@@ -218,6 +218,16 @@ def test_soekernel_evaluate_types():
     arr = k.evaluate(np.array([1.0, 2.0]))
     assert arr.shape == (2,)
     assert arr[0] == scalar
+    assert type(k.evaluate(np.array(1.0))) is float
+    grid = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 7.0]])
+    block = k.evaluate(grid)
+    assert block.shape == (2, 3)
+    assert np.array_equal(block.ravel(), k.evaluate(grid.ravel()))
+    for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="SOEKernel.evaluate"):
+            k.evaluate(bad)
+        with pytest.raises(DomainError):
+            k.evaluate(np.array([1.0, bad]))
 
 
 # ----------------------------------------------------------------------------

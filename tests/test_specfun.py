@@ -349,6 +349,15 @@ def test_partial_sum_converged_matches_oracle():
     assert value == pytest.approx(0.4275835761558070, abs=1e-12)
 
 
+def test_partial_sum_overflow_is_domain_error():
+    # 100^k overflows float64 from k = 155 on, long before the terms with
+    # their Gamma factors would.
+    with pytest.raises(DomainError, match="ml_partial_sum"):
+        ml_partial_sum(1.0, 100.0, 200)
+    with pytest.raises(DomainError):
+        ml_partial_sum(0.5, -100.0, 200)
+
+
 def test_partial_sum_explicit_terms():
     value, bound = ml_partial_sum(0.5, 1.0, 3)
     expected = 1.0 + 1.0 / gamma_fn(1.5) + 1.0 / gamma_fn(2.0) + 1.0 / gamma_fn(2.5)
@@ -432,6 +441,10 @@ def test_mw_negative_argument_raises():
         m_wright(0.5, np.array([[0.1, 0.2], [-0.1, 0.3]]))
     with pytest.raises(DomainError):
         m_wright(0.5, np.array([0.1, np.inf]))
+    # M_alpha is a real density: complex z is refused, not cast to real.
+    for z in (1j, np.array([0.5, 1.0 + 1.0j])):
+        with pytest.raises(DomainError, match="real"):
+            m_wright(0.5, z)
 
 
 def test_mw_asymptotic_half_is_exact_gaussian():

@@ -227,10 +227,17 @@ class TestSpectralDensity:
         out = spectral_density(OHMIC, w)
         assert out.shape == w.shape
         assert np.allclose(out, w * np.exp(-w))
+        block = spectral_density(OHMIC, w.reshape(2, 2))
+        assert block.shape == (2, 2)
+        assert np.array_equal(block.ravel(), out)
+        assert type(spectral_density(OHMIC, np.array(1.0))) is float
 
     def test_negative_frequency_rejected(self):
-        with pytest.raises(DomainError):
-            spectral_density(OHMIC, -0.1)
+        for bad in (-0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="spectral_density"):
+                spectral_density(OHMIC, bad)
+            with pytest.raises(DomainError, match=f"got {bad!r}$"):
+                spectral_density(OHMIC, np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
 # ---------------------------------------------------------------------------

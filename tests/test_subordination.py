@@ -547,6 +547,13 @@ class TestTrajectoryEstimate:
             trajectory_estimate(dephasing_qubit(0.0, 0.5), 0.5, 1.0,
                                 plus_state(), PAULI_X, 10, -3)
 
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, True])
+    def test_non_whole_seed_rejected(self, seed):
+        # A seed is a count: never truncated, never handed to numpy unchecked.
+        with pytest.raises(ValidationError, match="seed"):
+            trajectory_estimate(dephasing_qubit(0.0, 0.5), 0.5, 1.0,
+                                plus_state(), PAULI_X, 10, seed)
+
     def test_superoperator_gives_same_bits(self):
         gen = dephasing_qubit(2.0, 0.5)
         args = (0.7, 1.5, plus_state(), PAULI_X, 5000, 17)
