@@ -77,7 +77,6 @@ from .spinboson import (
 )
 from .subordination import (
     OperationalClock,
-    QuadConfig,
     TrajectoryEstimate,
     divisibility_defect,
     levy_density,
@@ -126,7 +125,6 @@ __all__ = [
     "fam_solve_soe",
     "ml_propagate",
     "OperationalClock",
-    "QuadConfig",
     "TrajectoryEstimate",
     "levy_density",
     "sample_clock",

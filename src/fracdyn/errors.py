@@ -10,16 +10,18 @@ its kind, and keeps its own error class.  An order ``alpha`` is a
 A count (steps, samples, terms, a seed) is a whole number at or above its
 minimum, an int or an integral float but not a bool, and is never
 truncated.  A time, rate or step is a finite float >= 0 (or > 0), a
-plateau a float in [0, 1).  A point argument (``z``, ``t``, ``u``,
-``omega``) is a scalar or an array of any shape whose points are all finite
-and at or above the function's bound; a DomainError names the first point
-that is not, and the result is a Python scalar for a scalar and an array of
-the input's shape for an array.
+plateau a float in [0, 1); each is a real number (numpy real scalars and
+0-d arrays too), never None, a str or a bool.  A point argument (``z``,
+``t``, ``u``, ``omega``) is a scalar or an array of any shape whose points
+are all numbers, finite and at or above the function's bound; a DomainError
+names the first point that is not, and the result is a Python scalar for a
+scalar and an array of the input's shape for an array.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -60,6 +62,17 @@ class NonConvergenceError(FracdynError, RuntimeError):
 
 # The argument contract.
 
+def _real(x) -> float:
+    """``x`` as a float if it is a real number (numpy real scalars and 0-d
+    arrays included, bools not); NaN, which every range check refuses,
+    for anything else."""
+    if isinstance(x, np.ndarray) and x.ndim == 0:
+        x = x[()]
+    if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
+        return math.nan
+    return float(x)
+
+
 @dataclass(frozen=True)
 class FractionalOrder:
     """A Caputo order ``alpha`` constrained to ``0 < alpha <= 1``."""
@@ -67,7 +80,7 @@ class FractionalOrder:
     alpha: float
 
     def __post_init__(self):
-        a = float(self.alpha)
+        a = _real(self.alpha)
         if not math.isfinite(a) or not 0.0 < a <= 1.0:
             raise DomainError(f"fractional order must lie in (0, 1], got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
@@ -93,19 +106,19 @@ def _count(n, name: str, minimum: int = 0, err=ValidationError) -> int:
 def _nonneg_float(x, name: str, strict: bool = False, err=DomainError) -> float:
     """``x`` as a float, finite and >= 0 (> 0 if ``strict``), else ``err``
     that ``name`` opens (e.g. "time t")."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0 or (strict and x == 0.0):
-        raise err(
-            f"{name} must be finite and {'> 0' if strict else '>= 0'}")
-    return x
+    v = _real(x)
+    if not math.isfinite(v) or v < 0.0 or (strict and v == 0.0):
+        raise err(f"{name} must be finite and {'> 0' if strict else '>= 0'}"
+                  f", got {x!r}")
+    return v
 
 
 def _unit_interval(x, name: str, err=ValidationError) -> float:
     """``x`` (a plateau) as a float in [0, 1), else ``err``."""
-    x = float(x)
-    if not 0.0 <= x < 1.0:
-        raise err(f"{name} must lie in [0, 1), got {x}")
-    return x
+    v = _real(x)
+    if not 0.0 <= v < 1.0:
+        raise err(f"{name} must lie in [0, 1), got {x!r}")
+    return v
 
 
 def _coerce_enum(cls, value, what: str):
@@ -127,13 +140,15 @@ def _points(x, what: str, lower: Optional[float] = None,
     """The points of ``x`` as a flat float (or, without ``lower``, complex)
     array, and the shape for :func:`_shaped`.
 
-    Each point must be finite and >= ``lower`` (> if ``strict``), else a
-    DomainError that ``what`` opens (e.g. "m_wright z") names the first.
+    Each point must be a number, finite and >= ``lower`` (> if ``strict``),
+    else a DomainError that ``what`` opens (e.g. "m_wright z") names the
+    first.
     """
     arr = np.asarray(x)
-    is_complex = np.iscomplexobj(arr)
-    if is_complex and lower is not None:
-        raise DomainError(f"{what} must be real, got {arr.dtype}")
+    is_complex = arr.dtype.kind == "c"
+    if arr.dtype.kind not in ("iuf" if lower is not None else "iufc"):
+        kind = "real" if lower is not None else "a number"
+        raise DomainError(f"{what} must be {kind}, got {arr.dtype}")
     flat = np.asarray(arr, dtype=complex if is_complex else float).ravel()
     ok = np.isfinite(flat)
     if lower is not None:

@@ -87,7 +87,8 @@ __all__ = [
     "ml_propagate",
 ]
 
-DEFAULT_MAX_HORIZON = 1.0e6
+# Largest horizon h*N a solver accepts.
+_MAX_HORIZON = 1.0e6
 
 # Per-step state-defect thresholds (matrix mode).
 _STATE_WARN_TOL = 1e-7
@@ -482,14 +483,13 @@ def _soe_phi_weights(xi: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     return phi0, phi1
 
 
-def _validate_solve_args(alpha, h, n_steps, max_horizon):
+def _validate_solve_args(alpha, h, n_steps):
     order = _order(alpha)
     h = _nonneg_float(h, "step h", strict=True)
     n_steps = _count(n_steps, "N", 1, DomainError)
-    if h * n_steps > max_horizon:
+    if h * n_steps > _MAX_HORIZON:
         raise DomainError(
-            f"horizon h*N = {h * n_steps:g} exceeds configured max {max_horizon:g}"
-        )
+            f"horizon h*N = {h * n_steps:g} exceeds max {_MAX_HORIZON:g}")
     return order, h, n_steps
 
 
@@ -539,16 +539,16 @@ def fam_solve(
     n_steps: int,
     init: Union[DensityMatrix, float, complex],
     scheme: Union[WeightScheme, str] = WeightScheme.StandardDFF,
-    max_horizon: float = DEFAULT_MAX_HORIZON,
 ) -> FracTrajectory:
     """Solve D^alpha rho = L rho by the fractional Adams-Moulton method.
 
     ``gen`` is a :class:`~fracdyn.lindblad.GKSLGenerator` (matrix mode) or a
     positive scalar rate lambda (scalar mode, L -> multiplication by -lambda).
-    Returns the trajectory at t_n = n h for n = 0..N.
+    Returns the trajectory at t_n = n h for n = 0..N.  The horizon h N may
+    not exceed the fixed ``_MAX_HORIZON`` = 1e6 (DomainError).
     """
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
-    order, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
+    order, h, n_steps = _validate_solve_args(alpha, h, n_steps)
     a = order.alpha
     M, u0 = _flow_operator(gen, init)
 
@@ -574,7 +574,6 @@ def fam_solve_soe(
     init: Union[DensityMatrix, float, complex],
     soe: SOEKernel,
     scheme: Union[WeightScheme, str] = WeightScheme.StandardDFF,
-    max_horizon: float = DEFAULT_MAX_HORIZON,
 ) -> FracTrajectory:
     """Like :func:`fam_solve` but with O(Q) compressed-history steps.
 
@@ -585,7 +584,7 @@ def fam_solve_soe(
     scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
     if scheme is not WeightScheme.StandardDFF:
         raise ValidationError("fam_solve_soe supports the StandardDFF scheme only")
-    order, h, n_steps = _validate_solve_args(alpha, h, n_steps, max_horizon)
+    order, h, n_steps = _validate_solve_args(alpha, h, n_steps)
     a = order.alpha
 
     if abs(soe.alpha.alpha - a) > 1e-12:

@@ -17,12 +17,12 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .errors import (DomainError, ValidationError, _nonneg_float, _points,
-                     _shaped)
+                     _real, _shaped)
 
 __all__ = [
     "AsymptoticRegime",
@@ -64,15 +64,14 @@ class BathSpec:
     beta: float = math.inf
 
     def __post_init__(self) -> None:
-        for name in ("eta", "chi", "omega_c", "beta"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise DomainError(f"BathSpec.{name} must be a real number")
-            if math.isnan(val) or val <= 0.0:
-                raise DomainError(f"BathSpec.{name} must be positive, got {val}")
         for name in ("eta", "chi", "omega_c"):
-            if math.isinf(getattr(self, name)):
-                raise DomainError(f"BathSpec.{name} must be finite")
+            object.__setattr__(self, name, _nonneg_float(
+                getattr(self, name), f"BathSpec.{name}", strict=True))
+        beta = _real(self.beta)
+        if not beta > 0.0:
+            raise DomainError(
+                f"BathSpec.beta must be > 0 or inf, got {self.beta!r}")
+        object.__setattr__(self, "beta", beta)
 
 
 def spectral_density(bath: BathSpec, omega) -> Union[float, np.ndarray]:
@@ -311,17 +310,15 @@ def _chi_gamma(bath: BathSpec, x: float) -> float:
             f"chi = {bath.chi:g} overflows Gamma({x:g})") from None
 
 
-def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime,
-                 d_chi: Optional[float] = None) -> float:
+def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime) -> float:
     """Leading-order asymptotic form of Q(t) in the given regime.
 
     ShortTime: (1/2) eta Gamma(chi+1) omega_c^2 t^2 (any chi).
     SubOhmic (chi < 1): C_chi t^(1-chi) with
         C_chi = -(2/pi) eta omega_c^(1-chi) Gamma(chi-1) sin(pi chi / 2).
     Ohmic (chi = 1): (eta/2) ln(omega_c^2 t^2).
-    SuperOhmic (chi > 1): the plateau Q_inf = (2/pi) eta Gamma(chi-1);
-        if ``d_chi`` is given, the approach Q_inf - d_chi * t^(1-chi) is
-        returned instead (the approach coefficient is a fitted prefactor).
+    SuperOhmic (chi > 1): the plateau Q_inf = (2/pi) eta Gamma(chi-1); the
+        approach Q_inf - d t^(1-chi), whose d is fitted, is the caller's.
 
     The ShortTime and Ohmic forms are the bare table forms: they omit the
     2/pi that :func:`dephasing_Q` carries, so in those regimes
@@ -355,10 +352,7 @@ def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime,
         return 0.5 * eta * math.log(wc * wc * t * t)
     if chi <= 1.0:
         raise DomainError("SuperOhmic asymptotics require chi > 1")
-    q_inf = (2.0 / math.pi) * eta * _chi_gamma(bath, chi - 1.0)
-    if d_chi is not None:
-        return q_inf - d_chi * t ** (1.0 - chi)
-    return q_inf
+    return (2.0 / math.pi) * eta * _chi_gamma(bath, chi - 1.0)
 
 
 # ---------------------------------------------------------------------------

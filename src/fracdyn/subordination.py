@@ -43,7 +43,6 @@ from .specfun import m_wright, m_wright_asymptotic, mittag_leffler
 
 __all__ = [
     "OperationalClock",
-    "QuadConfig",
     "TrajectoryEstimate",
     "levy_density",
     "sample_clock",
@@ -56,6 +55,13 @@ __all__ = [
 _MC_BLOCK = 4096
 # Largest invariant defect of a subordinated state.
 _STATE_TOL = 1e-8
+# The subordination quadrature (see subordinated_propagate); two levels
+# agree when no entry of the map Phi moves by more than _AGREE_TOL.
+_TAIL_MASS = 1e-8
+_AGREE_TOL = 1e-8
+_NODES_PER_PANEL = 16
+_START_PANELS = 8
+_MAX_DOUBLINGS = 12
 # Held while a rule is looked up or built: rows run in threads build each
 # rule once, not once per thread.
 _RULE_LOCK = threading.Lock()
@@ -78,33 +84,6 @@ class OperationalClock:
 
 
 @dataclass(frozen=True)
-class QuadConfig:
-    """Discretization rule for the subordination integral.
-
-    ``tail_mass`` bounds the truncated mass beyond U_max; panel counts double
-    from ``start_panels``, at most ``max_doublings`` times, until two
-    successive refinements agree to ``agree_tol`` (max-abs over the entries
-    of the subordinated map Phi).
-    """
-
-    tail_mass: float = 1e-8
-    agree_tol: float = 1e-8
-    nodes_per_panel: int = 16
-    start_panels: int = 8
-    max_doublings: int = 12
-
-    def __post_init__(self):
-        if not (0.0 < self.tail_mass < 1.0):
-            raise ValidationError("tail_mass must lie in (0, 1)")
-        if not (self.agree_tol > 0.0):
-            raise ValidationError("agree_tol must be > 0")
-        _count(self.nodes_per_panel, "nodes_per_panel", 2)
-        _count(self.start_panels, "start_panels", 1)
-        # Convergence is judged between two refinements.
-        _count(self.max_doublings, "max_doublings", 1)
-
-
-@dataclass(frozen=True)
 class TrajectoryEstimate:
     """Monte-Carlo estimate of an observable along the fractional flow."""
 
@@ -116,13 +95,6 @@ class TrajectoryEstimate:
     def __post_init__(self):
         _count(self.n_samples, "n_samples", 2)
         _nonneg_float(self.stderr, "stderr", err=ValidationError)
-
-    def csv_row(self, t: float) -> str:
-        """CSV row ``t,mean,stderr,M,seed``."""
-        return (
-            f"{float(t)!r},{self.mean!r},{self.stderr!r},"
-            f"{self.n_samples},{self.seed}"
-        )
 
 
 def levy_density(clock: OperationalClock, u) -> Union[float, np.ndarray]:
@@ -161,8 +133,8 @@ def sample_clock(
     return u
 
 
-def _tail_cutoff(a: float, tail_mass: float) -> float:
-    """Smallest x0 with int_{x0}^inf M_alpha(x) dx below tail_mass.
+def _tail_cutoff(a: float) -> float:
+    """Smallest x0 with int_{x0}^inf M_alpha(x) dx below _TAIL_MASS.
 
     Uses the stretched-exponential M-Wright tail: the integral is bounded by
     M_alpha(x0) divided by the local decay rate a^(a/(1-a)) x0^(a/(1-a)).
@@ -171,7 +143,7 @@ def _tail_cutoff(a: float, tail_mass: float) -> float:
     rate_pow = a / (1.0 - a)
     rate_pref = a**rate_pow
     x0 = 1.0
-    target = 0.1 * tail_mass
+    target = 0.1 * _TAIL_MASS
     while x0 < 1e8:
         try:
             est = m_wright_asymptotic(a, x0) / (rate_pref * x0**rate_pow)
@@ -181,7 +153,7 @@ def _tail_cutoff(a: float, tail_mass: float) -> float:
             return x0
         x0 *= 1.5
     raise AccuracyError(
-        f"tail-mass rule {tail_mass:g} unreachable for alpha = {a:g}"
+        f"tail-mass rule {_TAIL_MASS:g} unreachable for alpha = {a:g}"
     )
 
 
@@ -195,8 +167,7 @@ def _gl_panels(n_panels: int, nodes: int, upper: float):
 
 
 @functools.lru_cache(maxsize=16)
-def _clock_rule(a: float, tail_mass: float, nodes_per_panel: int,
-                n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
+def _clock_rule(a: float, n_panels: int) -> Tuple[np.ndarray, np.ndarray]:
     """Read-only nodes x and weights c = w M_alpha(x) of one refinement level.
 
     Gauss-Legendre panels on [0, x0] of the operational variable
@@ -204,7 +175,7 @@ def _clock_rule(a: float, tail_mass: float, nodes_per_panel: int,
     f_alpha(u, t) du = M_alpha(x) dx, the rule is the same for every t;
     a caller maps its nodes to u = t^alpha x.
     """
-    x, w = _gl_panels(n_panels, nodes_per_panel, _tail_cutoff(a, tail_mass))
+    x, w = _gl_panels(n_panels, _NODES_PER_PANEL, _tail_cutoff(a))
     # At t = 1 the density's scale is exactly 1.0: this is M_alpha(x).
     c = w * levy_density(OperationalClock(a, 1.0), x)
     x.setflags(write=False)
@@ -212,13 +183,13 @@ def _clock_rule(a: float, tail_mass: float, nodes_per_panel: int,
     return x, c
 
 
-def _subordinated_matrix(
-    M: np.ndarray, a: float, t: float, quad: QuadConfig
-) -> np.ndarray:
+def _subordinated_matrix(M: np.ndarray, a: float, t: float) -> np.ndarray:
     """The subordinated map Phi(t) = int f_alpha(u,t) e^(uM) du as a matrix.
 
     Level k integrates in x = u t^(-alpha) with the cached
-    :func:`_clock_rule` of ``start_panels * 2^k`` panels.
+    :func:`_clock_rule` of ``_START_PANELS * 2^k`` panels; it stops when two
+    levels agree to ``_AGREE_TOL``, after at most ``_MAX_DOUBLINGS``
+    doublings.
     """
     scale = t**a
     basis = _eigenbasis(M)
@@ -228,11 +199,10 @@ def _subordinated_matrix(
         evals, V = basis
         Vinv = np.linalg.inv(V)
     prev = None
-    n_panels = quad.start_panels
-    for _ in range(quad.max_doublings + 1):
+    n_panels = _START_PANELS
+    for _ in range(_MAX_DOUBLINGS + 1):
         with _RULE_LOCK:
-            x, coeff = _clock_rule(a, quad.tail_mass, quad.nodes_per_panel,
-                                   n_panels)
+            x, coeff = _clock_rule(a, n_panels)
         u = scale * x
         if basis is not None:
             with np.errstate(over="ignore", under="ignore"):
@@ -243,13 +213,13 @@ def _subordinated_matrix(
             cur = np.zeros_like(M)
             for uk, ck in zip(u, coeff):
                 cur += ck * expm(uk * M)
-        if prev is not None and np.max(np.abs(cur - prev)) <= quad.agree_tol:
+        if prev is not None and np.max(np.abs(cur - prev)) <= _AGREE_TOL:
             return cur
         prev = cur
         n_panels *= 2
     raise AccuracyError(
-        f"subordination quadrature did not reach {quad.agree_tol:g} "
-        f"after {quad.max_doublings} panel doublings"
+        f"subordination quadrature did not reach {_AGREE_TOL:g} "
+        f"after {_MAX_DOUBLINGS} panel doublings"
     )
 
 
@@ -258,24 +228,25 @@ def subordinated_propagate(
     alpha: _AlphaLike,
     t: float,
     init: DensityMatrix,
-    quad: Optional[QuadConfig] = None,
 ) -> DensityMatrix:
     """Evaluate rho(t) = int f_alpha(u, t) e^(uL) rho(0) du deterministically.
 
-    ``gen`` is the generator L or its :class:`Superoperator`; both give the
-    same bits.
+    The quadrature is fixed by module constants: Gauss-Legendre panels of
+    ``_NODES_PER_PANEL`` = 16 nodes on all but ``_TAIL_MASS`` = 1e-8 of the
+    clock mass, from ``_START_PANELS`` = 8 panels doubled (at most
+    ``_MAX_DOUBLINGS`` = 12 times) until two levels agree to ``_AGREE_TOL``
+    = 1e-8.  ``gen`` is the generator L or its :class:`Superoperator`; both
+    give the same bits.
     """
     a = _order(alpha).alpha
     t = _nonneg_float(t, "time t")
     M, rho0 = _flow_operator(gen, init)
     if t == 0.0:
         return init
-    if quad is None:
-        quad = QuadConfig()
     if a == 1.0:
         # Degenerate clock f -> delta(u - t): the ordinary semigroup.
         return semigroup_apply(Superoperator(gen.dim, M), t, init)
-    phi = _subordinated_matrix(M, a, t, quad)
+    phi = _subordinated_matrix(M, a, t)
     out = unvec(phi @ rho0, gen.dim)
     return _admit_flow(out[None], "subordinated state", _STATE_TOL,
                        _STATE_TOL)[0]

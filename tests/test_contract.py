@@ -2,10 +2,13 @@
 
 An order alpha outside (0, 1] is a DomainError wherever alpha is taken, and
 a count that is not a whole number raises its site's error class instead
-of being truncated.  The alpha table is checked against ``fracdyn.__all__``,
-so a public function added with an ``alpha`` parameter must join it.
+of being truncated.  A value that is not a real number raises the site's
+error class too.  The alpha and option tables are checked against
+``fracdyn.__all__``, so a public function added with an ``alpha``
+parameter, or a public default added anywhere, must join them.
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -46,6 +49,7 @@ from fracdyn import (
     subordinated_propagate,
     trajectory_estimate,
 )
+from fracdyn.errors import _unit_interval
 from fracdyn.lindblad import PAULI_X
 
 GEN = dephasing_qubit(1.0, 0.5)
@@ -108,7 +112,7 @@ def test_alpha_table_calls_run_at_valid_alpha(name):
         ALPHA_CALLS[name](FractionalOrder(0.5))
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, 1.5, math.nan, math.inf, None, "abc"])
 @pytest.mark.parametrize("name", ALPHA_TAKERS)
 def test_alpha_outside_unit_interval_is_domain_error(name, bad):
     with pytest.raises(DomainError):
@@ -154,3 +158,71 @@ def test_integral_float_count_is_the_int(site):
     elif isinstance(want, TrajectoryEstimate):
         got, want = (got.mean, got.stderr), (want.mean, want.stderr)
     assert np.array_equal(got, want)
+
+
+# One site per argument helper: (call with the value, the site's error
+# class, a valid value that is a whole number).  Every public plateau site
+# reads None as "no plateau", so _unit_interval is called itself.
+REAL_SITES = {
+    "FractionalOrder": (lambda x: FractionalOrder(x), DomainError, 1),
+    "_nonneg_float": (lambda x: fam_solve(1.0, 0.5, x, 10, 1.0).states,
+                      DomainError, 1),
+    "_unit_interval": (lambda x: _unit_interval(x, "plateau"),
+                       ValidationError, 0),
+    "_points": (lambda x: mittag_leffler(0.5, x), DomainError, -1),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "abc", "1", True, np.True_, object()])
+@pytest.mark.parametrize("helper", sorted(REAL_SITES))
+def test_non_number_raises_site_error(helper, bad):
+    call, error, _ = REAL_SITES[helper]
+    with pytest.raises(error):
+        call(bad)
+
+
+@pytest.mark.parametrize("helper", sorted(REAL_SITES))
+def test_numpy_real_scalars_and_0d_arrays_accepted(helper):
+    call, _, value = REAL_SITES[helper]
+    want = call(float(value))
+    for same in (value, np.int64(value), np.float32(value),
+                 np.float64(value), np.array(value), np.array(float(value))):
+        assert np.array_equal(call(same), want)
+
+
+# Every option of the public API: each defaulted parameter of a function
+# and each defaulted field of a dataclass in fracdyn.__all__, with its
+# default.  An option that no caller sets belongs in a module constant.
+OPTIONS = {
+    ("BathSpec", "beta"): math.inf,
+    ("BathSpec", "omega_c"): 1.0,
+    ("DensityMatrix", "herm_tol"): 1e-12,
+    ("DensityMatrix", "psd_tol"): 1e-10,
+    ("DensityMatrix", "trace_tol"): 1e-12,
+    ("FitResult", "u_inf"): None,
+    ("GKSLGenerator", "channels"): (),
+    ("complete_monotonicity_probe", "negate"): False,
+    ("cptp_diagnostics", "u"): None,
+    ("default_fit_window", "end_factor"): 20.0,
+    ("fam_solve", "scheme"): WeightScheme.StandardDFF,
+    ("fam_solve_soe", "scheme"): WeightScheme.StandardDFF,
+    ("fit_fractional", "bath"): None,
+    ("fit_fractional", "init"): None,
+    ("fit_fractional", "max_evaluations"): 10000,
+    ("fit_fractional", "plateau"): None,
+    ("lambda_from_point", "u_inf"): None,
+    ("local_order_estimate", "plateau"): None,
+    ("rmse_objective", "u_inf"): None,
+    ("sample_clock", "size"): None,
+}
+
+
+def test_option_table_is_every_public_option():
+    found = {}
+    for name in fracdyn.__all__:
+        obj = getattr(fracdyn, name)
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+            for param in inspect.signature(obj).parameters.values():
+                if param.default is not inspect.Parameter.empty:
+                    found[(name, param.name)] = param.default
+    assert found == OPTIONS

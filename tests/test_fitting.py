@@ -474,6 +474,18 @@ class TestBathCorrelationTime:
         tau = bath_correlation_time(BathSpec(1.0, 1.0))
         assert tau == pytest.approx(0.582852, abs=1e-4)
 
+    def test_ohmic_closed_form_root(self):
+        # At beta = inf, chi = 1: |C(t)/C(0)| = |1 - t^2| / (1 + t^2)^2, so
+        # s = t^2 solves s^2 + (2 + e) s + 1 - e = 0 below the zero at t = 1.
+        b = 2.0 + math.e
+        root = math.sqrt(0.5 * (math.sqrt(b * b - 4.0 * (1.0 - math.e)) - b))
+        assert (1.0 - root**2) / (1.0 + root**2) ** 2 == \
+            pytest.approx(math.exp(-1.0), rel=1e-14)
+        # The bisection stops at a bracket of width 1e-6 and returns its
+        # midpoint.
+        tau = bath_correlation_time(BathSpec(1.0, 1.0))
+        assert abs(tau - root) <= 0.5e-6
+
     def test_cutoff_scaling(self):
         tau1 = bath_correlation_time(BathSpec(1.0, 1.0))
         tau2 = bath_correlation_time(BathSpec(1.0, 1.0, omega_c=2.0))
@@ -502,6 +514,13 @@ class TestDefaultFitWindow:
         assert w.t_start == pytest.approx(1.165704, abs=1e-3)
         assert w.t_end == pytest.approx(11.657036, abs=1e-2)
 
+    @pytest.mark.parametrize("factor", [20.0, 60.0])
+    def test_window_is_two_to_factor_tau(self, factor):
+        bath = BathSpec(1.0, 1.0)
+        tau = bath_correlation_time(bath)
+        w = default_fit_window(bath, end_factor=factor)
+        assert (w.t_start, w.t_end) == (2.0 * tau, factor * tau)
+
     def test_wide_factor(self):
         w = default_fit_window(BathSpec(1.0, 1.0), end_factor=60.0)
         assert w.t_end == pytest.approx(34.97, abs=0.05)
@@ -517,7 +536,7 @@ class TestDefaultFitWindow:
         assert w.t_start / 2.0 == pytest.approx(tau_b, abs=1e-6)
         assert w.t_end / 20.0 == pytest.approx(tau_b, abs=1e-6)
 
-    @pytest.mark.parametrize("factor", [10.0, 61.0])
+    @pytest.mark.parametrize("factor", [10.0, 19.9, 61.0])
     def test_factor_out_of_range(self, factor):
         with pytest.raises(ValidationError):
             default_fit_window(BathSpec(1.0, 1.0), end_factor=factor)

@@ -323,7 +323,7 @@ class TestScalarSolve:
 
     def test_a_stability_large_step(self):
         # lambda * h^alpha = 10: implicit corrector stays bounded and decays.
-        tr = fam_solve(1.0, 0.5, 100.0, 50, 1.0, max_horizon=1e9)
+        tr = fam_solve(1.0, 0.5, 100.0, 50, 1.0)
         mags = np.abs(np.asarray(tr.states))
         assert mags.max() <= 1.0 + 1e-12
         assert mags[-1] < 0.05
@@ -353,7 +353,7 @@ class TestScalarSolve:
         with pytest.raises(DomainError):
             fam_solve(-1.0, 0.5, 0.1, 10, 1.0)
         with pytest.raises(DomainError):
-            fam_solve(1.0, 0.5, 1.0, 10, 1.0, max_horizon=5.0)
+            fam_solve(1.0, 0.5, 1e5, 11, 1.0)
         with pytest.raises(ValidationError):
             fam_solve(1.0, 0.5, 0.1, 10, 1.0, scheme="bogus")
 

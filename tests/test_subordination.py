@@ -39,7 +39,6 @@ from fracdyn.specfun import (
 )
 from fracdyn.subordination import (
     OperationalClock,
-    QuadConfig,
     TrajectoryEstimate,
     divisibility_defect,
     levy_density,
@@ -261,11 +260,12 @@ class TestSubordinatedPropagate:
         assert trace_defect < 1e-7
         assert min_choi >= -1e-8
 
-    def test_quadrature_failure_raises(self):
+    def test_quadrature_failure_raises(self, monkeypatch):
         gen = dephasing_qubit(0.0, 0.5)
-        cfg = QuadConfig(agree_tol=1e-30, max_doublings=1)
+        monkeypatch.setattr(subordination, "_AGREE_TOL", 1e-30)
+        monkeypatch.setattr(subordination, "_MAX_DOUBLINGS", 1)
         with pytest.raises(AccuracyError):
-            subordinated_propagate(gen, 0.5, 1.0, plus_state(), quad=cfg)
+            subordinated_propagate(gen, 0.5, 1.0, plus_state())
 
     def test_non_hermitian_result_raises(self, monkeypatch):
         # A map that leaks rho_00 into rho_01 only: the result is off
@@ -288,12 +288,6 @@ class TestSubordinatedPropagate:
             subordinated_propagate(gen, 0.5, -1.0, plus_state())
         with pytest.raises(ValidationError):
             subordinated_propagate(gen, 0.5, 1.0, 0.5)
-        with pytest.raises(ValidationError):
-            QuadConfig(tail_mass=0.0)
-        for doublings in (0, -3):
-            # Convergence compares two refinements, so at least one doubling.
-            with pytest.raises(ValidationError, match="max_doublings"):
-                QuadConfig(max_doublings=doublings)
 
     def test_superoperator_gives_same_bits(self):
         gen = dephasing_qubit(2.0, 0.5)
@@ -348,25 +342,25 @@ class TestExpmFallback:
         assert np.max(np.abs(out.entries - ref.entries)) <= 1e-7
 
 
-def _u_space_reference(M, a, t, quad_cfg, spectral):
+def _u_space_reference(M, a, t, spectral):
     """Phi(t) integrated in u itself: Gauss-Legendre panels on
     [0, t^a x0] weighted by levy_density at t, refined as the route is."""
     clock = OperationalClock(F(a), t)
-    u_max = t**a * subordination._tail_cutoff(a, quad_cfg.tail_mass)
+    u_max = t**a * subordination._tail_cutoff(a)
     if spectral:
         evals, V = np.linalg.eig(M)
         Vinv = np.linalg.inv(V)
-    prev, n_panels = None, quad_cfg.start_panels
-    for _ in range(quad_cfg.max_doublings + 1):
-        u, wts = subordination._gl_panels(n_panels, quad_cfg.nodes_per_panel,
-                                          u_max)
+    prev, n_panels = None, subordination._START_PANELS
+    for _ in range(subordination._MAX_DOUBLINGS + 1):
+        u, wts = subordination._gl_panels(
+            n_panels, subordination._NODES_PER_PANEL, u_max)
         coeff = wts * levy_density(clock, u)
         if spectral:
             cur = (V * (coeff @ np.exp(np.outer(u, evals)))[None, :]) @ Vinv
         else:
             cur = sum(ck * expm(uk * M) for uk, ck in zip(u, coeff))
         if (prev is not None
-                and np.max(np.abs(cur - prev)) <= quad_cfg.agree_tol):
+                and np.max(np.abs(cur - prev)) <= subordination._AGREE_TOL):
             return cur
         prev = cur
         n_panels *= 2
@@ -390,13 +384,12 @@ class TestOperationalTimeRule:
         spectral = route == "spectral"
         if not spectral:
             monkeypatch.setattr(subordination, "_eigenbasis", lambda M: None)
-        cfg = QuadConfig()
 
         def worst():
             return max(
                 np.max(np.abs(
-                    subordination._subordinated_matrix(M, alpha, t, cfg)
-                    - _u_space_reference(M, alpha, t, cfg, spectral)))
+                    subordination._subordinated_matrix(M, alpha, t)
+                    - _u_space_reference(M, alpha, t, spectral)))
                 for t in (1e-3, 0.5, 5.0, 50.0))
 
         # The two rules place their nodes an ulp apart, and the M-Wright
@@ -449,13 +442,15 @@ class TestOperationalTimeRule:
             assert np.array_equal(got, row(t))
 
     def test_rule_arrays_are_read_only(self):
-        x, c = subordination._clock_rule(0.5, 1e-8, 16, 8)
-        assert x.shape == c.shape == (128,)
+        n_panels = subordination._START_PANELS
+        n_nodes = n_panels * subordination._NODES_PER_PANEL
+        x, c = subordination._clock_rule(0.5, n_panels)
+        assert x.shape == c.shape == (n_nodes,)
         for arr in (x, c):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        assert subordination._clock_rule(0.5, 1e-8, 16, 8)[0] is x
+        assert subordination._clock_rule(0.5, n_panels)[0] is x
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +561,6 @@ class TestTrajectoryEstimate:
         # Checked before the observable, whose shape needs gen.dim.
         with pytest.raises(ValidationError, match="GKSLGenerator"):
             trajectory_estimate(1.0, 0.5, 1.0, plus_state(), PAULI_X, 10, 0)
-
-    def test_csv_row(self):
-        est = TrajectoryEstimate(0.5, 0.01, 100, 7)
-        assert est.csv_row(2.0) == "2.0,0.5,0.01,100,7"
 
 
 # ---------------------------------------------------------------------------
