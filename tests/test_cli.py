@@ -187,6 +187,133 @@ class TestConfigValidation:
         assert run(tmp_path, doc)[0] == 0
 
 
+# One valid config per command; each row of REFUSED breaks exactly one rule
+# of it, at the key (a path into the config) that the message must name.
+_BATH = {"eta": 1.0, "chi": 0.5}
+_GRID = {"t_min": 0.0, "t_max": 20.0, "n_points": 81}
+_WINDOW = {"t_start": 2.0, "t_end": 15.0}
+VALID = {
+    "exact": {"command": "exact", "bath": _BATH,
+              "grid": {"t_min": 0.1, "t_max": 1.0, "n_points": 3},
+              "regime": "short_time"},
+    "markov": {"command": "markov", "bath": _BATH, "grid": _GRID,
+               "window": _WINDOW},
+    "fracfit": {"command": "fracfit", "bath": _BATH, "grid": _GRID,
+                "window": _WINDOW},
+    "subordinate": {"command": "subordinate", "alpha": 0.5,
+                    "grid": {"t_min": 0.5, "t_max": 1.0, "n_points": 2},
+                    "n_samples": 10, "divisibility": {"lam": 1.0}},
+    "solve": {"command": "solve", "generator": DEPHASING_GEN, "alpha": 0.5,
+              "h": 0.01, "n_steps": 10},
+}
+_MISSING = object()
+REFUSED = [
+    # An unknown key at each level.
+    *[(command, ("bogus",), 1) for command in VALID],
+    ("exact", ("bath", "bogus"), 1),
+    ("exact", ("grid", "bogus"), 1),
+    ("markov", ("window", "bogus"), 1),
+    ("subordinate", ("divisibility", "bogus"), 1),
+    # Each required key missing.
+    *[("exact", (key,), _MISSING) for key in ("command", "bath", "grid",
+                                               "regime")],
+    *[(command, (key,), _MISSING) for command in ("markov", "fracfit")
+      for key in ("window",)],
+    *[("subordinate", (key,), _MISSING) for key in ("alpha", "n_samples")],
+    *[("solve", (key,), _MISSING) for key in ("generator", "alpha")],
+    ("exact", ("bath", "eta"), _MISSING),
+    ("exact", ("bath", "chi"), _MISSING),
+    ("exact", ("grid", "t_min"), _MISSING),
+    ("exact", ("grid", "t_max"), _MISSING),
+    ("exact", ("grid", "n_points"), _MISSING),
+    ("markov", ("window", "t_start"), _MISSING),
+    ("fracfit", ("window", "t_end"), _MISSING),
+    ("subordinate", ("divisibility", "lam"), _MISSING),
+    # Wrong types: number, bool for a number, integer, object, array, enum.
+    ("exact", ("bath", "eta"), "1"),
+    ("exact", ("bath", "chi"), True),
+    ("exact", ("bath",), "x"),
+    ("exact", ("grid", "n_points"), 2.5),
+    ("exact", ("regime",), 1),
+    ("markov", ("epsilon",), "x"),
+    ("fracfit", ("epsilon",), None),
+    ("fracfit", ("plateau",), "x"),
+    ("subordinate", ("alpha",), "0.5"),
+    ("subordinate", ("seed",), 1.5),
+    ("subordinate", ("n_samples",), "10"),
+    ("subordinate", ("divisibility",), [1.0]),
+    ("solve", ("generator",), []),
+    ("solve", ("init",), 1),
+    ("solve", ("h_values",), 0.01),
+    ("solve", ("h_values",), ["a", 0.01]),
+    # Each bound.
+    ("exact", ("bath", "eta"), 0),
+    ("exact", ("bath", "chi"), 0.0),
+    ("exact", ("bath", "omega_c"), -1.0),
+    ("exact", ("bath", "beta"), 0.0),
+    ("exact", ("bath", "beta"), "hot"),
+    ("exact", ("grid", "t_min"), -1.0),
+    ("exact", ("grid", "t_max"), 0.0),
+    ("exact", ("grid", "n_points"), 0),
+    ("markov", ("window", "t_start"), 0.0),
+    ("markov", ("window", "t_end"), -1.0),
+    ("fracfit", ("plateau",), -0.1),
+    ("fracfit", ("plateau",), 1.0),
+    ("subordinate", ("alpha",), 0.0),
+    ("subordinate", ("alpha",), 1.5),
+    ("subordinate", ("gamma",), 0.0),
+    ("subordinate", ("n_samples",), 1),
+    ("subordinate", ("seed",), -1),
+    ("subordinate", ("divisibility", "lam"), 0.0),
+    ("subordinate", ("divisibility", "tau_fraction"), 0.0),
+    ("subordinate", ("divisibility", "tau_fraction"), 1.0),
+    ("solve", ("alpha",), 0.0),
+    ("solve", ("alpha",), 1.01),
+    ("solve", ("h",), 0.0),
+    ("solve", ("n_steps",), 0),
+    ("solve", ("soe_tol",), 0.0),
+    ("solve", ("horizon",), -1.0),
+    ("solve", ("h_values",), [0.0, 0.01]),
+    ("solve", ("h_values",), [0.01]),
+    # Each enum.
+    ("exact", ("regime",), "weak"),
+    ("exact", ("grid", "spacing"), "geometric"),
+    ("subordinate", ("observable",), "sigma_w"),
+    ("solve", ("scheme",), "euler"),
+    ("solve", ("history",), "sparse"),
+    ("solve", ("mode",), "sweep"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, value", REFUSED,
+    ids=[f"{c}-{'.'.join(p)}={'missing' if v is _MISSING else repr(v)}"
+         for c, p, v in REFUSED])
+def test_config_rule_refuses(tmp_path, capsys, command, path, value):
+    doc = json.loads(json.dumps(VALID[command]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    # The message names the key by its path, or its parent's path and the
+    # key in quotes.
+    err, parent = capsys.readouterr().err, "".join(["$", *(f".{k}" for k in path[:-1])])
+    assert f"{parent}.{path[-1]}" in err or (
+        f"{parent}:" in err and f"'{path[-1]}'" in err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_config_rule_table_starts_from_valid_configs(tmp_path, command):
+    assert run(tmp_path, VALID[command])[0] == 0
+
+
 class TestExact:
     def test_short_time_columns(self, tmp_path):
         doc = {"command": "exact", "bath": {"eta": 1.0, "chi": 0.5},
