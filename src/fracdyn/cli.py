@@ -1,9 +1,10 @@
 """Reproduction front-end: declarative experiment configs in, CSV/JSON out.
 
 Each run takes a JSON config (one experiment per file, discriminated by a
-``command`` key), validates it against a schema, executes the corresponding
-pipeline, and writes CSV artifacts whose comment header records the config
-digest, artifact version, and column schema.  Identical config and seed
+``command`` key), checks each key against the command's field table with the
+package's own argument helpers (``fracdyn.errors``), executes the
+corresponding pipeline, and writes CSV artifacts whose comment header
+records the config digest, artifact version, and column schema.  Identical config and seed
 produce byte-identical output, regardless of ``--threads``.
 
 Exit codes: 0 success, 2 config error, 3 numerical-accuracy failure,
@@ -19,15 +20,17 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .errors import (AccuracyError, DomainError, NonConvergenceError,
-                     NumericalInstabilityError, ValidationError)
+                     NumericalInstabilityError, ValidationError, _count,
+                     _finite_float, _nonneg_float, _order, _real,
+                     _unit_interval)
 from .fitting import FitWindow, fit_fractional
 from .fracsolve import fam_solve, fam_solve_soe, ml_propagate
 from .kernels import soe_compress
@@ -59,135 +62,80 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Schemas
+# Config fields
 # ---------------------------------------------------------------------------
 
-_BATH_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "eta": {"type": "number", "exclusiveMinimum": 0},
-        "chi": {"type": "number", "exclusiveMinimum": 0},
-        "omega_c": {"type": "number", "exclusiveMinimum": 0},
-        "beta": {
-            "oneOf": [{"type": "number", "exclusiveMinimum": 0},
-                      {"const": "inf"}],
-        },
-    },
-    "required": ["eta", "chi"],
-    "additionalProperties": False,
-}
+def _choice(*options: str):
+    """Check: one of the exact strings ``options``."""
+    def check(value) -> None:
+        if not (isinstance(value, str) and value in options):
+            raise ConfigError(
+                f"value must be one of {sorted(options)}, got {value!r}")
+    return check
 
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "t_min": {"type": "number", "minimum": 0},
-        "t_max": {"type": "number", "exclusiveMinimum": 0},
-        "n_points": {"type": "integer", "minimum": 1},
-        "spacing": {"enum": ["linear", "log"]},
-    },
-    "required": ["t_min", "t_max", "n_points"],
-    "additionalProperties": False,
-}
 
-_WINDOW_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "t_start": {"type": "number", "exclusiveMinimum": 0},
-        "t_end": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["t_start", "t_end"],
-    "additionalProperties": False,
-}
+def _above_zero(value) -> None:
+    """Check: a number > 0, inf included (zero temperature, an open window
+    end, a tolerance that asks for nothing, a step longer than the run)."""
+    if not _real(value) > 0.0:
+        raise ConfigError(f"value must be a number > 0, got {value!r}")
 
-_SCHEMAS = {
-    "exact": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "exact"},
-            "bath": _BATH_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "regime": {"enum": sorted(_REGIMES)},
-        },
-        "required": ["command", "bath", "grid", "regime"],
-        "additionalProperties": False,
-    },
-    "markov": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "markov"},
-            "bath": _BATH_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "window": _WINDOW_SCHEMA,
-            "epsilon": {"type": "number"},
-        },
-        "required": ["command", "bath", "grid", "window"],
-        "additionalProperties": False,
-    },
-    "fracfit": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "fracfit"},
-            "bath": _BATH_SCHEMA,
-            "grid": _GRID_SCHEMA,
-            "window": _WINDOW_SCHEMA,
-            "epsilon": {"type": "number"},
-            "plateau": {
-                "oneOf": [{"type": "number", "minimum": 0,
-                           "exclusiveMaximum": 1},
-                          {"const": "auto"}, {"type": "null"}],
-            },
-        },
-        "required": ["command", "bath", "grid", "window"],
-        "additionalProperties": False,
-    },
-    "subordinate": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "subordinate"},
-            "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "gamma": {"type": "number", "exclusiveMinimum": 0},
-            "epsilon": {"type": "number"},
-            "grid": _GRID_SCHEMA,
-            "n_samples": {"type": "integer", "minimum": 2},
-            "seed": {"type": "integer", "minimum": 0},
-            "observable": {"enum": sorted(_OBSERVABLES)},
-            "divisibility": {
-                "type": "object",
-                "properties": {
-                    "lam": {"type": "number", "exclusiveMinimum": 0},
-                    "tau_fraction": {"type": "number", "exclusiveMinimum": 0,
-                                     "exclusiveMaximum": 1},
-                },
-                "required": ["lam"],
-                "additionalProperties": False,
-            },
-        },
-        "required": ["command", "alpha", "grid", "n_samples"],
-        "additionalProperties": False,
-    },
-    "solve": {
-        "type": "object",
-        "properties": {
-            "command": {"const": "solve"},
-            "generator": {"type": "object"},
-            "init": {"type": "object"},
-            "alpha": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-            "h": {"type": "number", "exclusiveMinimum": 0},
-            "n_steps": {"type": "integer", "minimum": 1},
-            "scheme": {"enum": ["standard_dff", "paper_printed"]},
-            "history": {"enum": ["dense", "soe"]},
-            "soe_tol": {"type": "number", "exclusiveMinimum": 0},
-            "mode": {"enum": ["trajectory", "convergence"]},
-            "horizon": {"type": "number", "exclusiveMinimum": 0},
-            "h_values": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 2,
-            },
-        },
-        "required": ["command", "generator", "alpha"],
-        "additionalProperties": False,
-    },
+
+def _object(value) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(f"value must be an object, got {value!r}")
+
+
+def _steps(value) -> None:
+    """Check: two or more step sizes, each > 0 (inf is one step)."""
+    if not isinstance(value, list) or len(value) < 2:
+        raise ConfigError(
+            f"value must be a list of 2 or more steps, got {value!r}")
+    for h in value:
+        _above_zero(h)
+
+
+def _fraction(value) -> None:
+    """Check: a number in (0, 1)."""
+    if _unit_interval(value, "value") == 0.0:
+        raise ConfigError(f"value must lie in (0, 1), got {value!r}")
+
+
+_POSITIVE = partial(_nonneg_float, name="value", strict=True)
+_NONNEG = partial(_nonneg_float, name="value")
+_EPSILON = partial(_finite_float, name="value")
+
+# Each command's keys and their checks; a key ending in "?" is optional.  A
+# check is a nested table or a callable that raises on a bad value.
+_BATH = {"eta": _POSITIVE, "chi": _POSITIVE, "omega_c?": _POSITIVE,
+         "beta?": lambda v: None if v == "inf" else _above_zero(v)}
+_GRID = {"t_min": _NONNEG, "t_max": _POSITIVE,
+         "n_points": partial(_count, name="value", minimum=1),
+         "spacing?": _choice("linear", "log")}
+_WINDOW = {"t_start": _POSITIVE, "t_end": _above_zero}
+_FIELDS = {
+    "exact": {"command": _choice("exact"), "bath": _BATH, "grid": _GRID,
+              "regime": _choice(*_REGIMES)},
+    "markov": {"command": _choice("markov"), "bath": _BATH, "grid": _GRID,
+               "window": _WINDOW, "epsilon?": _EPSILON},
+    "fracfit": {"command": _choice("fracfit"), "bath": _BATH, "grid": _GRID,
+                "window": _WINDOW, "epsilon?": _EPSILON,
+                "plateau?": lambda v: v in (None, "auto")
+                or _unit_interval(v, "value")},
+    "subordinate": {"command": _choice("subordinate"), "alpha": _order,
+                    "gamma?": _POSITIVE, "epsilon?": _EPSILON, "grid": _GRID,
+                    "n_samples": partial(_count, name="value", minimum=2),
+                    "seed?": partial(_count, name="value"),
+                    "observable?": _choice(*_OBSERVABLES),
+                    "divisibility?": {"lam": _POSITIVE,
+                                      "tau_fraction?": _fraction}},
+    "solve": {"command": _choice("solve"), "generator": _object,
+              "init?": _object, "alpha": _order, "h?": _POSITIVE,
+              "n_steps?": partial(_count, name="value", minimum=1),
+              "scheme?": _choice("standard_dff", "paper_printed"),
+              "history?": _choice("dense", "soe"), "soe_tol?": _above_zero,
+              "mode?": _choice("trajectory", "convergence"),
+              "horizon?": _POSITIVE, "h_values?": _steps},
 }
 
 _DEFAULTS = {
@@ -216,15 +164,11 @@ def _load_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     command = doc.get("command")
-    if command not in _SCHEMAS:
+    if command not in _FIELDS:
         raise ConfigError(
-            f"$.command: must be one of {sorted(_SCHEMAS)}, got {command!r}"
+            f"$.command: must be one of {sorted(_FIELDS)}, got {command!r}"
         )
-    validator = jsonschema.Draft202012Validator(_SCHEMAS[command])
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        raise ConfigError(f"{err.json_path}: {err.message}")
+    _check(doc, _FIELDS[command], "$")
     effective = dict(_DEFAULTS[command])
     effective.update(doc)
     if "divisibility" in effective:
@@ -232,6 +176,29 @@ def _load_config(path: str) -> dict:
         block.setdefault("tau_fraction", 0.5)
         effective["divisibility"] = block
     return effective
+
+
+def _check(doc, fields: dict, path: str) -> None:
+    """ConfigError "<path>.<key>: ..." for the first unknown key, missing
+    required key or refused value of ``doc`` under ``fields``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: value must be an object, got {doc!r}")
+    for key in doc:
+        if key not in fields and f"{key}?" not in fields:
+            raise ConfigError(f"{path}.{key}: unknown key")
+    for spec, check in fields.items():
+        key = spec.rstrip("?")
+        where = f"{path}.{key}"
+        if key not in doc:
+            if key == spec:
+                raise ConfigError(f"{where}: required")
+        elif isinstance(check, dict):
+            _check(doc[key], check, where)
+        else:
+            try:
+                check(doc[key])
+            except (ConfigError, DomainError, ValidationError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
 
 
 def _config_digest(config: dict) -> str:

@@ -10,8 +10,9 @@ its kind, and keeps its own error class.  An order ``alpha`` is a
 A count (steps, samples, terms, a seed) is a whole number at or above its
 minimum, an int or an integral float but not a bool, and is never
 truncated.  A time, rate or step is a finite float >= 0 (or > 0), a
-plateau a float in [0, 1); each is a real number (numpy real scalars and
-0-d arrays too), never None, a str or a bool.  A point argument (``z``,
+detuning ``epsilon`` a finite float of either sign, a plateau a float in
+[0, 1); each is a real number (numpy real scalars and 0-d arrays too),
+never None, a str or a bool.  A point argument (``z``,
 ``t``, ``u``, ``omega``) is a scalar or an array of any shape whose points
 are all numbers, finite and at or above the function's bound; a DomainError
 names the first point that is not, and the result is a Python scalar for a
@@ -101,6 +102,14 @@ def _count(n, name: str, minimum: int = 0, err=ValidationError) -> int:
     if not whole or isinstance(n, bool) or n < minimum:
         raise err(f"{name} must be a whole number >= {minimum}, got {n!r}")
     return int(n)
+
+
+def _finite_float(x, name: str, err=DomainError) -> float:
+    """``x`` (a detuning, of either sign) as a finite float, else ``err``."""
+    v = _real(x)
+    if not math.isfinite(v):
+        raise err(f"{name} must be a finite real number, got {x!r}")
+    return v
 
 
 def _nonneg_float(x, name: str, strict: bool = False, err=DomainError) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (DomainError, FractionalOrder, NonConvergenceError,
                      ValidationError, _count, _nonneg_float, _order,
-                     _unit_interval)
+                     _real, _unit_interval)
 from .specfun import _ml_slope, mittag_leffler
 from .spinboson import AsymptoticRegime, BathSpec, CoherenceSeries, \
     asymptotic_Q, bath_correlation
@@ -389,9 +389,10 @@ def bath_correlation_time(bath: BathSpec) -> float:
 
 def default_fit_window(bath: BathSpec, end_factor: float = 20.0) -> FitWindow:
     """Window rule (2 tau_B, end_factor * tau_B) with end_factor in [20, 60]."""
-    if not (20.0 <= end_factor <= 60.0):
+    factor = _real(end_factor)
+    if not (20.0 <= factor <= 60.0):
         raise ValidationError(
-            f"end_factor must lie in [20, 60], got {end_factor}"
+            f"end_factor must lie in [20, 60], got {end_factor!r}"
         )
     tau_b = bath_correlation_time(bath)
-    return FitWindow(2.0 * tau_b, end_factor * tau_b)
+    return FitWindow(2.0 * tau_b, factor * tau_b)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, FractionalOrder,
                      ValidationError, _AlphaLike, _coerce_enum, _count,
-                     _order, _points, _shaped)
+                     _nonneg_float, _order, _points, _real, _shaped)
 from .specfun import _rgamma
 
 __all__ = [
@@ -110,8 +110,10 @@ class SOEKernel:
         t_min, t_max = self.valid_range
         if not (0.0 < t_min <= t_max):
             raise ValidationError("valid_range must satisfy 0 < t_min <= t_max")
-        if not (self.tol > 0.0):
-            raise ValidationError("tol must be positive")
+        tol = _real(self.tol)
+        if not tol > 0.0:
+            raise ValidationError(f"tol must be positive, got {self.tol!r}")
+        object.__setattr__(self, "tol", tol)
 
     @property
     def n_terms(self) -> int:
@@ -165,10 +167,13 @@ def soe_compress(
     """
     order = _order(alpha)
     a = order.alpha
-    if not (0.0 < t_min <= t_max) or not math.isfinite(t_max):
+    t_min = _nonneg_float(t_min, "soe_compress t_min", strict=True)
+    t_max = _nonneg_float(t_max, "soe_compress t_max")
+    if not t_min <= t_max:
         raise DomainError("soe_compress requires 0 < t_min <= t_max, finite")
-    if not (tol > 0.0):
-        raise DomainError("soe_compress requires tol > 0")
+    if not _real(tol) > 0.0:  # inf asks for no accuracy: the tol = 1 kernel
+        raise DomainError(f"soe_compress requires tol > 0, got {tol!r}")
+    tol = _real(tol)
 
     if a == 1.0:
         # K_1(t) = 1 exactly: a single constant mode.

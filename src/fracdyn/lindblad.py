@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (NumericalInstabilityError, ValidationError, _count,
-                     _nonneg_float)
+                     _finite_float, _nonneg_float)
 
 __all__ = [
     "PAULI_X",
@@ -79,9 +79,11 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _as_square_complex(m, name: str) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix")
+    arr = np.asarray(m)
+    if arr.dtype.kind not in "iufc" or arr.ndim != 2 \
+            or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix of numbers")
+    arr = np.asarray(arr, dtype=complex)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValidationError(f"{name} must have finite entries")
     return arr
@@ -316,7 +318,7 @@ def dephasing_qubit(epsilon: float, gamma: float) -> GKSLGenerator:
     gamma = 0 this is the closed (Liouville) qubit.
     """
     gamma = _nonneg_float(gamma, "gamma")
-    H = 0.5 * float(epsilon) * PAULI_Z
+    H = 0.5 * _finite_float(epsilon, "dephasing_qubit epsilon") * PAULI_Z
     channels = ((PAULI_Z, gamma),) if gamma > 0.0 else ()
     return GKSLGenerator(H, channels)
 

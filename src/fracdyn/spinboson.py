@@ -21,8 +21,8 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import (DomainError, ValidationError, _nonneg_float, _points,
-                     _real, _shaped)
+from .errors import (DomainError, ValidationError, _finite_float,
+                     _nonneg_float, _points, _real, _shaped)
 
 __all__ = [
     "AsymptoticRegime",
@@ -282,6 +282,7 @@ class CoherenceSeries:
 
 def exact_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:
     """u(t_k) = e^{-i epsilon t_k} e^{-Q(t_k)} with u(0) normalized to 1."""
+    epsilon = _finite_float(epsilon, "exact_coherence epsilon")
     times = _validated_grid(grid)
     values = np.exp(-1j * epsilon * times - dephasing_Q(bath, times))
     return CoherenceSeries(times, values, "exact")
@@ -367,9 +368,10 @@ def markov_fit_rate(series: CoherenceSeries,
     ``window = (t_start, t_end)`` and returns gamma = -slope / 2, matching
     the model u_M(t) = e^{i eps t} e^{-2 gamma t}.
     """
-    t_start, t_end = float(window[0]), float(window[1])
+    t_start, t_end = _real(window[0]), _real(window[1])
     if not (t_start < t_end):
-        raise ValidationError("markov_fit_rate window must have t_start < t_end")
+        raise ValidationError("markov_fit_rate window must have t_start < t_end"
+                              f", got {tuple(window)!r}")
     mask = (series.times >= t_start) & (series.times <= t_end)
     if int(np.count_nonzero(mask)) < 8:
         raise ValidationError(
@@ -390,6 +392,7 @@ def markov_fit_rate(series: CoherenceSeries,
 def markov_coherence(gamma: float, epsilon: float, grid) -> CoherenceSeries:
     """Constant-rate model u_M(t) = e^{i epsilon t} e^{-2 gamma t}."""
     gamma = _nonneg_float(gamma, "markov_coherence gamma", strict=True)
+    epsilon = _finite_float(epsilon, "markov_coherence epsilon")
     times = _validated_grid(grid)
     values = np.exp((1j * epsilon - 2.0 * gamma) * times)
     return CoherenceSeries(times, values, "markov")
@@ -411,6 +414,7 @@ def tcl_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:
     rate Q'(t)/2 would move that column by up to 5.3e-9, far beyond the
     1e-12 absolute tolerance its reference output is checked at.
     """
+    epsilon = _finite_float(epsilon, "tcl_coherence epsilon")
     times = _validated_grid(grid)
     nodes, weights = np.polynomial.legendre.leggauss(5)
     start = 1 if times[0] == 0.0 else 0

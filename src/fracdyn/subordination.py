@@ -34,6 +34,7 @@ from .lindblad import (
     GKSLGenerator,
     Superoperator,
     _admit_flow,
+    _as_square_complex,
     _eigenbasis,
     _flow_operator,
     semigroup_apply,
@@ -275,7 +276,7 @@ def trajectory_estimate(
     n_samples = _count(n_samples, "n_samples", 2)
     seed = _count(seed, "seed")
     M, rho0 = _flow_operator(gen, init)
-    obs = np.asarray(observable, dtype=complex)
+    obs = _as_square_complex(observable, "observable")
     if obs.shape != (gen.dim, gen.dim):
         raise ValidationError("observable shape does not match generator")
     if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
@@ -323,8 +324,8 @@ def divisibility_defect(
     """
     a = _order(alpha).alpha
     lam = _nonneg_float(lam, "lambda", strict=True)
-    t = float(t)
-    tau = float(tau)
+    t = _nonneg_float(t, "divisibility_defect t")
+    tau = _nonneg_float(tau, "divisibility_defect tau")
     if not (0.0 < tau < t):
         raise DomainError("tau must lie strictly between 0 and t")
     full, head, tail = mittag_leffler(

@@ -6,6 +6,7 @@ tests cover the console script and the scipy imports deferred to first use.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -312,6 +313,25 @@ def test_config_rule_refuses(tmp_path, capsys, command, path, value):
 @pytest.mark.parametrize("command", sorted(VALID))
 def test_config_rule_table_starts_from_valid_configs(tmp_path, command):
     assert run(tmp_path, VALID[command])[0] == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("solve", "horizon", math.nan),
+    ("solve", "h_values", [math.nan, 0.01]),
+    ("fracfit", "epsilon", math.nan),
+])
+def test_non_finite_literal_is_config_error(tmp_path, capsys, command, key,
+                                            value):
+    # json writes and reads NaN; it is refused as a config value (exit 2),
+    # not carried into the run.
+    doc = dict(VALID[command], **{key: value})
+    if command == "solve":
+        doc = dict(doc, mode="convergence")
+        doc.setdefault("h_values", [0.02, 0.01])
+    code, out = run(tmp_path, doc)
+    assert code == 2
+    assert f"$.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestExact:
@@ -832,13 +852,26 @@ class TestPlumbing:
         assert out.exists()
 
 
-# Runs ``main(argv)`` and prints the public scipy subpackages it loaded.
+# Prints the top-level names outside the standard library of the modules
+# loaded from a file since ``before`` was taken (Cython's runtime modules
+# have no file).
+_NEW_PACKAGES = """
+print(json.dumps(sorted(
+    {m.split(".")[0] for m in set(sys.modules) - before
+     if getattr(sys.modules[m], "__file__", None)}
+    - set(sys.stdlib_module_names))))
+"""
+
+# Runs ``main(argv)`` and prints the public scipy subpackages it loaded,
+# then the packages it loaded.
 _FRESH_CLI = """
 import json, sys
+before = set(sys.modules)
 from fracdyn.cli import main
 code = main(sys.argv[1:])
 subpackages = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
 print(json.dumps(sorted(p for p in subpackages if not p.startswith("_"))))
+""" + _NEW_PACKAGES + """
 sys.exit(code)
 """
 
@@ -850,13 +883,32 @@ def fresh_python(*args):
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
+def new_packages(code):
+    """The packages that a new interpreter loads to run ``code``."""
+    proc = fresh_python("-c", "import json, sys; before = set(sys.modules)\n"
+                        + code + _NEW_PACKAGES)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@functools.lru_cache(maxsize=None)
+def scipy_optimize_packages():
+    return frozenset(new_packages("import scipy.optimize"))
+
+
 def fresh_cli(command, config, out, *extra):
     """Run one CLI command in a new interpreter; the scipy subpackages it
-    loaded."""
+    loaded.  Besides the standard library it may load fracdyn and numpy
+    only, and for ``fracfit`` what ``import scipy.optimize`` loads."""
     proc = fresh_python("-c", _FRESH_CLI, command, "--config", str(config),
                         "--out", str(out), *extra)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    subpackages, packages = map(json.loads, proc.stdout.splitlines())
+    allowed = {"fracdyn", "numpy"}
+    if command == "fracfit":
+        allowed |= scipy_optimize_packages()
+    assert set(packages) <= allowed, packages
+    return subpackages
 
 
 def assert_fresh_solve_matches_demo(tmp_path, stem):
@@ -878,6 +930,18 @@ class TestDeferredScipy:
     comes from ``math``, so ``solve`` and ``subordinate`` load no scipy at
     all.  Every in-process test runs after some test module has imported
     scipy, so a stray import only shows in a new interpreter."""
+
+    def test_import_loads_only_numpy(self):
+        assert new_packages("import fracdyn.cli") == ["fracdyn", "numpy"]
+
+    # The six other demo configs run through fresh_cli in the tests below.
+    @pytest.mark.parametrize("stem", ["exact_ohmic_tail",
+                                      "exact_super_ohmic_plateau",
+                                      "fracfit_sub_ohmic"])
+    def test_demo_loads_only_its_dependencies(self, tmp_path, stem):
+        cfg = DEMOS / "configs" / f"{stem}.json"
+        command = json.loads(cfg.read_text())["command"]
+        fresh_cli(command, cfg, tmp_path / f"{stem}.csv")
 
     def test_import_loads_no_scipy(self):
         proc = fresh_python(

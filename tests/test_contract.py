@@ -30,6 +30,7 @@ from fracdyn import (
     WeightScheme,
     complete_monotonicity_probe,
     corrector_weights,
+    default_fit_window,
     dephasing_qubit,
     divisibility_defect,
     exact_coherence,
@@ -37,6 +38,8 @@ from fracdyn import (
     fam_solve_soe,
     kernel_eval,
     lambda_from_point,
+    markov_coherence,
+    markov_fit_rate,
     m_wright,
     mittag_leffler,
     ml_partial_sum,
@@ -47,6 +50,7 @@ from fracdyn import (
     sample_clock,
     soe_compress,
     subordinated_propagate,
+    tcl_coherence,
     trajectory_estimate,
 )
 from fracdyn.errors import _unit_interval
@@ -160,9 +164,11 @@ def test_integral_float_count_is_the_int(site):
     assert np.array_equal(got, want)
 
 
-# One site per argument helper: (call with the value, the site's error
-# class, a valid value that is a whole number).  Every public plateau site
-# reads None as "no plateau", so _unit_interval is called itself.
+# One site per argument helper, and each site that once let a non-number
+# through: (call with the value, the site's error class, a valid value that
+# is a whole number).  Every public plateau site reads None as "no
+# plateau", so _unit_interval is called itself.
+BATH = BathSpec(1.0, 0.5)
 REAL_SITES = {
     "FractionalOrder": (lambda x: FractionalOrder(x), DomainError, 1),
     "_nonneg_float": (lambda x: fam_solve(1.0, 0.5, x, 10, 1.0).states,
@@ -170,7 +176,33 @@ REAL_SITES = {
     "_unit_interval": (lambda x: _unit_interval(x, "plateau"),
                        ValidationError, 0),
     "_points": (lambda x: mittag_leffler(0.5, x), DomainError, -1),
+    "divisibility_defect t":
+        (lambda x: divisibility_defect(0.5, 1.0, x, 0.5), DomainError, 1),
+    "divisibility_defect tau":
+        (lambda x: divisibility_defect(0.5, 1.0, 2.0, x), DomainError, 1),
+    "soe_compress t_min":
+        (lambda x: soe_compress(0.5, x, 10.0, 1e-6).terms, DomainError, 1),
+    "soe_compress t_max":
+        (lambda x: soe_compress(0.5, 0.1, x, 1e-6).terms, DomainError, 1),
+    "soe_compress tol":
+        (lambda x: soe_compress(0.5, 0.1, 10.0, x).terms, DomainError, 1),
+    "SOEKernel tol":
+        (lambda x: SOEKernel(0.5, ((1.0, 0.0),), (0.1, 1.0), x).tol,
+         ValidationError, 1),
+    "default_fit_window end_factor":
+        (lambda x: default_fit_window(BATH, x).t_end, ValidationError, 20),
+    "markov_fit_rate window": (lambda x: markov_fit_rate(SERIES, (x, 9.0)),
+                               ValidationError, 1),
+    "dephasing_qubit epsilon":
+        (lambda x: dephasing_qubit(x, 0.5).hamiltonian, DomainError, 1),
+    "exact_coherence epsilon":
+        (lambda x: exact_coherence(BATH, x, GRID).values, DomainError, 1),
+    "markov_coherence epsilon":
+        (lambda x: markov_coherence(0.1, x, GRID).values, DomainError, 1),
+    "tcl_coherence epsilon":
+        (lambda x: tcl_coherence(BATH, x, GRID).values, DomainError, 1),
 }
+EPSILON_SITES = sorted(site for site in REAL_SITES if "epsilon" in site)
 
 
 @pytest.mark.parametrize("bad", [None, "abc", "1", True, np.True_, object()])
@@ -188,6 +220,21 @@ def test_numpy_real_scalars_and_0d_arrays_accepted(helper):
     for same in (value, np.int64(value), np.float32(value),
                  np.float64(value), np.array(value), np.array(float(value))):
         assert np.array_equal(call(same), want)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("site", EPSILON_SITES)
+def test_non_finite_epsilon_raises(site, bad):
+    call, error, _ = REAL_SITES[site]
+    with pytest.raises(error, match="finite"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, [1.0, 0.0], [["a", "b"],
+                                                                ["c", "d"]]])
+def test_observable_that_is_not_a_matrix_of_numbers_raises(bad):
+    with pytest.raises(ValidationError):
+        trajectory_estimate(GEN, 0.5, 1.0, RHO, bad, 10, 0)
 
 
 # Every option of the public API: each defaulted parameter of a function
