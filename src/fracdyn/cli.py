@@ -4,8 +4,8 @@ Each run takes a JSON config (one experiment per file, discriminated by a
 ``command`` key), checks each key against the command's field table with the
 package's own argument helpers (``fracdyn.errors``), executes the
 corresponding pipeline, and writes CSV artifacts whose comment header
-records the config digest, artifact version, and column schema.  Identical config and seed
-produce byte-identical output, regardless of ``--threads``.
+records the config digest, artifact version, and column schema.  Identical
+config and seed produce byte-identical output, regardless of ``--threads``.
 
 Exit codes: 0 success, 2 config error, 3 numerical-accuracy failure,
 4 non-convergence (fit).
@@ -178,11 +178,9 @@ def _load_config(path: str) -> dict:
     return effective
 
 
-def _check(doc, fields: dict, path: str) -> None:
+def _check(doc: dict, fields: dict, path: str) -> None:
     """ConfigError "<path>.<key>: ..." for the first unknown key, missing
     required key or refused value of ``doc`` under ``fields``."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: value must be an object, got {doc!r}")
     for key in doc:
         if key not in fields and f"{key}?" not in fields:
             raise ConfigError(f"{path}.{key}: unknown key")
@@ -192,13 +190,13 @@ def _check(doc, fields: dict, path: str) -> None:
         if key not in doc:
             if key == spec:
                 raise ConfigError(f"{where}: required")
-        elif isinstance(check, dict):
+            continue
+        try:  # a nested table's value must be an object first
+            (_object if isinstance(check, dict) else check)(doc[key])
+        except (ConfigError, DomainError, ValidationError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if isinstance(check, dict):
             _check(doc[key], check, where)
-        else:
-            try:
-                check(doc[key])
-            except (ConfigError, DomainError, ValidationError) as exc:
-                raise ConfigError(f"{where}: {exc}") from None
 
 
 def _config_digest(config: dict) -> str:

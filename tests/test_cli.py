@@ -127,7 +127,7 @@ class TestConfigValidation:
         assert "--seed" in capsys.readouterr().err
 
     def test_negative_seed_flag_rejected(self, tmp_path, capsys):
-        # The schema's seed minimum holds for the override too: exit 2, not
+        # The config's seed minimum holds for the override too: exit 2, not
         # a traceback from the random generator.
         doc = {**SUB_DOC, "grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 2},
                "n_samples": 10}
@@ -304,9 +304,10 @@ def test_config_rule_refuses(tmp_path, capsys, command, path, value):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     # The message names the key by its path, or its parent's path and the
     # key in quotes.
-    err, parent = capsys.readouterr().err, "".join(["$", *(f".{k}" for k in path[:-1])])
-    assert f"{parent}.{path[-1]}" in err or (
-        f"{parent}:" in err and f"'{path[-1]}'" in err), err
+    err = capsys.readouterr().err
+    where = "".join(["$", *(f".{k}" for k in path[:-1])])
+    assert f"{where}.{path[-1]}" in err or (
+        f"{where}:" in err and f"'{path[-1]}'" in err), err
     assert not out.exists()
 
 
