@@ -164,7 +164,7 @@ def _load_config(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     command = doc.get("command")
-    if command not in _FIELDS:
+    if not isinstance(command, str) or command not in _FIELDS:
         raise ConfigError(
             f"$.command: must be one of {sorted(_FIELDS)}, got {command!r}"
         )
@@ -237,13 +237,25 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
               extra_comments: Sequence[str] = ()) -> None:
     """Write the comment header, the column names and ``rows``.
 
-    Every cell is written as ``str(cell)``: a float as its repr (the shortest
-    text that parses back to the same double), an int as its digits, a str
-    verbatim.  NumPy scalars print the same way; a float table is passed as
-    ``ndarray.tolist()``.  The commands' cells are numbers or ``''``, none
-    of which CSV quotes, so the rows are joined as they are: the bytes are
-    those of ``csv.writer(fh, lineterminator="\n")``.
+    ``rows`` is a float table, as an (n, len(columns)) ndarray, or a sequence
+    of rows.  Every cell is written as ``str(cell)``: a float as its repr
+    (the shortest text that parses back to the same double), an int as its
+    digits, a str verbatim; NumPy scalars print the same way.  A table's
+    cells are formatted once per distinct bit pattern, which keeps 0.0 and
+    -0.0 apart: the density-matrix stacks of ``solve`` repeat most cells
+    (re rho_ji equals re rho_ij, im rho_ii is 0.0).  The commands' cells
+    are numbers or ``''``, none of which CSV quotes, so the rows are joined
+    as they are: the bytes are those of ``csv.writer(fh,
+    lineterminator="\n")``.
     """
+    if isinstance(rows, np.ndarray):
+        bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+        distinct, where = np.unique(bits, return_inverse=True)
+        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())),
+                         dtype=object)
+        rows = texts[where.reshape(bits.shape)].tolist()
+    else:
+        rows = (map(str, row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# artifact: fracdyn {__version__}\n")
@@ -251,7 +263,7 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
             fh.write(f"# {comment}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
         fh.write(",".join(columns) + "\n")
-        fh.write("".join(",".join(map(str, row)) + "\n" for row in rows))
+        fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +288,10 @@ def _cmd_exact(config: dict, out: Path, digest: str) -> int:
             q_asym[i] = asymptotic_Q(bath, float(t), regime)
     denom = float(np.dot(q_asym, q_asym))
     prefactor = float(np.dot(q, q_asym) / denom) if denom > 0.0 else 1.0
-    rows = [(t, qt, math.exp(-qt), qa, math.exp(-qa)) for t, qt, qa
-            in zip(grid.tolist(), q.tolist(), (prefactor * q_asym).tolist())]
-    _emit_csv(out, digest, ["t", "Q", "absu", "Q_asym", "absu_asym"], rows,
+    table = np.array([(t, qt, math.exp(-qt), qa, math.exp(-qa)) for t, qt, qa
+                      in zip(grid.tolist(), q.tolist(),
+                             (prefactor * q_asym).tolist())])
+    _emit_csv(out, digest, ["t", "Q", "absu", "Q_asym", "absu_asym"], table,
               extra_comments=[f"amplitude_prefactor: {prefactor!r}"])
     return 0
 
@@ -302,7 +315,7 @@ def _cmd_markov(config: dict, out: Path, digest: str) -> int:
     _emit_csv(out, digest,
               ["t", "re_u_exact", "im_u_exact", "abs_u_exact",
                "abs_u_markov", "abs_u_tcl", "dev_markov", "dev_tcl"],
-              table.tolist(), extra_comments=[f"gamma: {gamma!r}"])
+              table, extra_comments=[f"gamma: {gamma!r}"])
     return 0
 
 
@@ -319,7 +332,7 @@ def _cmd_fracfit(config: dict, out: Path, digest: str) -> int:
     table = np.column_stack((grid, abs_exact, model,
                              np.abs(model - abs_exact)))
     _emit_csv(out, digest,
-              ["t", "abs_u_exact", "abs_u_fit", "deviation"], table.tolist())
+              ["t", "abs_u_exact", "abs_u_fit", "deviation"], table)
     json_path = out.with_suffix(".json")
     with open(json_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(result.to_json())
@@ -441,7 +454,7 @@ def _cmd_solve(config: dict, out: Path, digest: str) -> int:
         traj = fam_solve(gen, alpha, h, n_steps, init,
                          scheme=config["scheme"])
     columns, table = traj._matrix_table()
-    _emit_csv(out, digest, columns, table.tolist())
+    _emit_csv(out, digest, columns, table)
     return 0
 
 

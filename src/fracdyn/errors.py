@@ -8,11 +8,11 @@ Every public function checks each argument with the one helper below for
 its kind, and keeps its own error class.  An order ``alpha`` is a
 :class:`FractionalOrder` or a number in (0, 1], else :class:`DomainError`.
 A count (steps, samples, terms, a seed) is a whole number at or above its
-minimum, an int or an integral float but not a bool, and is never
-truncated.  A time, rate or step is a finite float >= 0 (or > 0), a
-detuning ``epsilon`` a finite float of either sign, a plateau a float in
-[0, 1); each is a real number (numpy real scalars and 0-d arrays too),
-never None, a str or a bool.  A point argument (``z``,
+minimum and at most the largest array size, an int or an integral float
+but not a bool, and is never truncated.  A time, rate or step is a finite
+float >= 0 (or > 0), a detuning ``epsilon`` a finite float of either sign,
+a plateau a float in [0, 1); each is a real number (numpy real scalars and
+0-d arrays too), never None, a str or a bool.  A point argument (``z``,
 ``t``, ``u``, ``omega``) is a scalar or an array of any shape whose points
 are all numbers, finite and at or above the function's bound; a DomainError
 names the first point that is not, and the result is a Python scalar for a
@@ -95,12 +95,18 @@ def _order(alpha: _AlphaLike) -> FractionalOrder:
     return alpha if isinstance(alpha, FractionalOrder) else FractionalOrder(alpha)
 
 
+# The largest count: the largest size an array can have.
+_COUNT_MAX = int(np.iinfo(np.intp).max)
+
+
 def _count(n, name: str, minimum: int = 0, err=ValidationError) -> int:
-    """``n`` as an int, if it is a whole number >= ``minimum``; else ``err``."""
+    """``n`` as an int, if it is a whole number in [``minimum``,
+    ``_COUNT_MAX``]; else ``err``."""
     whole = isinstance(n, (int, np.integer)) or (
         isinstance(n, float) and n.is_integer())
-    if not whole or isinstance(n, bool) or n < minimum:
-        raise err(f"{name} must be a whole number >= {minimum}, got {n!r}")
+    if not whole or isinstance(n, bool) or not minimum <= n <= _COUNT_MAX:
+        raise err(f"{name} must be a whole number in [{minimum}, "
+                  f"{_COUNT_MAX}], got {n!r}")
     return int(n)
 
 

@@ -28,6 +28,12 @@ Two weight schemes are provided (:class:`WeightScheme`):
   The alpha -> 1 limit is taken as the classical rectangle/trapezoid pair,
   whose corrector weights the predicted point by 1/2.
 
+:func:`fam_solve` keeps the whole history, with no kernel approximation, and
+steps it a block of up to 16 steps at a time: the history before a block
+enters all of the block's steps through one product with a table of lag
+weights, and the steps within the block through one linear map composed
+once per solve.  Both schemes share that core.
+
 :func:`fam_solve_soe` replaces the dense history sum with Q exponential
 accumulators driven by a :class:`~fracdyn.kernels.SOEKernel`: the kernel is
 kept exact on the two most recent intervals (lag <= 2h) and approximated by
@@ -58,6 +64,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (DomainError, FractionalOrder, NumericalInstabilityError,
                      ValidationError, _AlphaLike, _coerce_enum, _count,
@@ -279,44 +286,36 @@ class FracTrajectory:
 
 # Each core integrates D^alpha u = M u for an m x m operator M: the d^2 x d^2
 # superoperator in matrix mode, M = [[-lambda]] in scalar mode.  States and
-# right-hand sides g = M u are stored as rows of (N + 1, m) arrays.  Per-step
-# products use ndarray.dot, whose call overhead on these small operands is
-# well below that of the @ operator.
+# right-hand sides g = M u are stored as rows of (N + 1, m) arrays.  Products
+# use ndarray.dot, whose call overhead on these small operands is well below
+# that of the @ operator.
 #
-# All three cores step in real form: each complex row is held as its (2m,)
-# float view (re, im interleaved) and each operator as its _real_form.  The
-# history weights are real, so a history sum is a real gemv over the (n, 2m)
-# float history, with half the flops of a complex one, and no step converts
-# between complex and float.  The SOE core's block rows are complex while
-# they are built, and real from then on.
+# The dense core (_dense_blocks, under both schemes' wrappers) and the SOE
+# core step in real form: each complex row is held as its (2m,) float view
+# (re, im interleaved) and each operator as its _real_form.  The history
+# weights are real, so a history sum is a real product over the (n, 2m) float
+# history, with half the flops of a complex one, and no step converts between
+# complex and float.  The SOE core's block rows are complex while they are
+# built, and real from then on.
+#
+# Both cores advance a block of B steps per Python iteration, so that the
+# interpreter's per-step overhead and the reading of the history are paid
+# once per block: the dense core with one gemm over the whole history, the
+# SOE core with one gemv of its composed rows.
 
 # Steps composed into one affine map by the SOE core; fewer when the block's
 # real rows, B * 2m * 2 (1 + (Q + 2) m) elements for m x m operators, would
-# exceed _SOE_ROWS_MAX (large d, where they grow like m^2).
+# exceed _SOE_ROWS_MAX (large d, where they grow like m^2).  OpenBLAS 0.3.31
+# (numpy 2.4 wheels) hands a real gemv from 460,800 elements on to its
+# thread pool, whose handoff costs far more than the product on a busy core;
+# _SOE_ROWS_MAX stays below that line.
 _SOE_BLOCK = 64
 _SOE_ROWS_MAX = 460_000
-# Long history sums are taken in pieces of at most _DOT_CHUNK real elements,
-# so that no per-step gemv reaches OpenBLAS's thread pool: one handoff per
-# step costs far more than the dot itself (milliseconds on a busy core).
-# OpenBLAS 0.3.31 (numpy 2.4 wheels) hands a complex gemv of more than 9216
-# elements to the pool, and a real gemv from 460,800 elements on: on a
-# 2-core Haswell host, a (1430, 322) float gemv (460,460 elements) took
-# 195 us with or without OPENBLAS_NUM_THREADS=1, a (1432, 322) one
-# (461,104) took 65 us in the pool and 186 us on one thread; (638, 722)
-# and (639, 722) split the same way.  _SOE_ROWS_MAX stays below that line.
-_DOT_CHUNK = 1 << 16
-
-
-def _history_dot(w, g):
-    """w @ g for a 1-D real w and an (n, 2m) real history g.
-
-    Taken in pieces of at most _DOT_CHUNK elements of g.
-    """
-    rows = _DOT_CHUNK // g.shape[1]
-    if len(w) <= rows:
-        return w.dot(g)
-    return sum(w[i: i + rows].dot(g[i: i + rows])
-               for i in range(0, len(w), rows))
+# Steps advanced together by the dense core; fewer when the block's real
+# width, B * 2m, would exceed _DENSE_ROWS_MAX, so that its (B 2m)^2 near-field
+# map stays a small gemv (large d, where one step alone is a wide product).
+_DENSE_BLOCK = 16
+_DENSE_ROWS_MAX = 256
 
 
 def _real_form(A):
@@ -331,50 +330,83 @@ def _real_form(A):
     return out
 
 
+def _dense_blocks(G, x, lags, P, n_steps):
+    """Overwrite rows 1..N of x, which hold c_1..c_N, with the solution of
+    x_{n+1} = c_{n+1} + sum_{j=1..n} A_{n+1-j} G x_j.
+
+    ``x`` is (N + 1, 2m), G and P are (2m, 2m).  The lag weights are
+    A_l = lags[0][l] I, and with P A_l = lags[0][l] I + lags[1][l] P, for
+    l = 0..N.
+    """
+    two_m = len(G)
+    block = max(1, min(_DENSE_BLOCK, n_steps, _DENSE_ROWS_MAX // two_m))
+    # Far field: W[N - n0 + j - 1, s B + i] = lags[s][n0 + 1 + i - j] weights
+    # g_j = G x_j (j <= n0) in x_{n0+1+i}, so a block's far history is the one
+    # product W[N - n0:].T g[1:n0+1].  Lags past N are zero.
+    lag = np.zeros((len(lags), n_steps + 1 + block))
+    lag[:, : n_steps + 1] = lags
+    W = sliding_window_view(lag, block, axis=1)[:, n_steps:0:-1]
+    W = np.ascontiguousarray(W.transpose(1, 0, 2)).reshape(n_steps, -1)
+    # Near field: in a block, x_{n0+1+i} = b_i + sum_{l=1..i} A_l G
+    # x_{n0+1+i-l} with b = c + far field, so the block is x = K b for the
+    # block-lower-triangular Toeplitz K with K_0 = I and K_p = sum_{l=1..p}
+    # A_l G K_{p-l}; block row i of K is [K_i, ..., K_0, 0, ...].
+    ag = lags[0][1:block, None, None] * G
+    if P is not None:
+        ag += lags[1][1:block, None, None] * P.dot(G)
+    K = np.eye(block * two_m).reshape(block, two_m, -1)
+    for i in range(1, block):
+        K[i] += np.matmul(ag[:i], K[i - 1::-1]).sum(axis=0)
+    K = K.reshape(block * two_m, -1)
+
+    g = np.empty_like(x)
+    flat = x.reshape(-1)
+    for n0 in range(0, n_steps, block):
+        k = min(block, n_steps - n0)
+        xb = x[n0 + 1: n0 + k + 1]
+        if n0:
+            far = W[n_steps - n0:].T.dot(g[1: n0 + 1])
+            xb += far[:k]
+            if P is not None:
+                xb += far[block: block + k].dot(P.T)
+        if block > 1:  # K = I for one-step blocks
+            lo, hi = (n0 + 1) * two_m, (n0 + k + 1) * two_m
+            flat[lo:hi] = K[: hi - lo, : hi - lo].dot(flat[lo:hi])
+        xb.dot(G.T, out=g[n0 + 1: n0 + k + 1])
+
+
 def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
-    # StandardDFF: (I - pref v_0 M) u_{n+1} = u0 + pref * history.  The loop
-    # advances r_{n+1} = (I - pref v_0 M) u_{n+1} and g only; u is recovered
-    # from r in one product afterwards.
+    # StandardDFF: (I - pref v_0 M) u_{n+1} = u0 + pref * history.  The steps
+    # advance r_{n+1} = (I - pref v_0 M) u_{n+1}, which obeys
+    #   r_{n+1} = u0 + pref oldest_n g_0 + sum_{j=1..n} pref v_{n+1-j} ML r_j
+    # with ML = M (I - pref v_0 M)^(-1); u is recovered from r in one product
+    # afterwards.
     left_inv = np.linalg.inv(np.eye(len(u0)) - (pref * vr[-1]) * M)
-    ml = _real_form(M @ left_inv)
     r = np.empty((n_steps + 1, 2 * len(u0)))
-    g = np.empty_like(r)
-    g0 = M @ u0
-    g[0] = g0.view(np.float64)
-    # r_{n+1} starts from its initial-point terms; step n adds the history.
-    r[1:] = (u0 + (pref * oldest)[:, None] * g0).view(np.float64)
-    # vr[j] = v_{N-j}, so vr[N-n:N] weights g_1..g_n in one history dot.
-    vp = pref * vr
-    big_n = len(vr) - 1
-    for n in range(n_steps):
-        rn = r[n + 1]
-        rn += _history_dot(vp[big_n - n: big_n], g[1: n + 1])
-        ml.dot(rn, out=g[n + 1])
+    r[1:] = (u0 + (pref * oldest)[:, None] * (M @ u0)).view(np.float64)
+    _dense_blocks(_real_form(M @ left_inv), r, (pref * vr[::-1],), None,
+                  n_steps)
     u = r.view(np.complex128) @ left_inv.T
     u[0] = u0
     return u
 
 
 def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
-    # PaperPrinted: predict with b-weights, correct explicitly (v_0 on pred).
-    u = np.empty((n_steps + 1, 2 * len(u0)))
-    g = np.empty_like(u)
-    uf0 = u0.view(np.float64)
-    u[0] = uf0
-    g0 = M @ u0
-    g[0] = g0.view(np.float64)
-    u[1:] = (u0 + (pref * oldest)[:, None] * g0).view(np.float64)
+    # PaperPrinted: predict p_{n+1} = u0 + sum_{j=0..n} pref b_{n-j} g_j, then
+    # correct u_{n+1} = u0 + pref (oldest_n g_0 + sum_{j=1..n} v_{n+1-j} g_j)
+    # + pm p_{n+1} with pm = pref v_0 M.  The u0 and g_0 terms are fixed per
+    # step, and g_j (j >= 1) is weighted by pref v_l + pref b_{l-1} pm at lag
+    # l = n + 1 - j.
     mr = _real_form(M)
     pm = (pref * vr[-1]) * mr
-    vp = pref * vr
-    bp = pref * br
-    big_n = len(vr) - 1
-    for n in range(n_steps):
-        pred = uf0 + _history_dot(bp[big_n - n: big_n + 1], g[: n + 1])
-        un = u[n + 1]
-        un += _history_dot(vp[big_n - n: big_n], g[1: n + 1])
-        un += pm.dot(pred)
-        mr.dot(un, out=g[n + 1])
+    uf0, g0 = u0.view(np.float64), (M @ u0).view(np.float64)
+    b = pref * br[::-1]
+    u = np.empty((n_steps + 1, 2 * len(u0)))
+    u[0] = uf0
+    u[1:] = (uf0 + pm.dot(uf0) + (pref * oldest)[:, None] * g0
+             + b[:-1, None] * pm.dot(g0))
+    _dense_blocks(mr, u, (pref * vr[::-1], np.concatenate(([0.0], b[:-1]))),
+                  pm, n_steps)
     return u.view(np.complex128)
 
 
@@ -553,16 +585,15 @@ def fam_solve(
     M, u0 = _flow_operator(gen, init)
 
     v, oldest = _history_weights(scheme, a, n_steps)
-    # vr[j] = v_{n_steps - j}: a contiguous copy for the history dot.
-    vr, oldest = v[::-1].copy(), oldest[:-1]
+    # The cores take the weights oldest lag first: vr[j] = v_{n_steps - j}.
+    vr, oldest = v[::-1], oldest[:-1]
     if scheme is WeightScheme.StandardDFF:
         pref = h**a / math.gamma(a + 2.0)
         u = _dense_implicit_core(M, u0, pref, vr, oldest, n_steps)
     else:
         pref = h**a / math.gamma(1.0 + a)
         b = predictor_weights(scheme, a, n_steps)
-        u = _dense_explicit_core(M, u0, pref, vr, oldest, b[::-1].copy(),
-                                 n_steps)
+        u = _dense_explicit_core(M, u0, pref, vr, oldest, b[::-1], n_steps)
     return _trajectory(u, order, h, scheme, init)
 
 

@@ -95,6 +95,15 @@ class TestConfigValidation:
         assert code == 2
         assert "command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["solve"], {"a": 1}],
+                             ids=["list", "object"])
+    def test_non_string_command(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"command": command})
+        code = main(["solve", "--config", cfg, "--out",
+                     str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "$.command" in capsys.readouterr().err
+
     def test_command_mismatch(self, tmp_path, capsys):
         doc = {"command": "exact", "bath": {"eta": 1.0, "chi": 0.5},
                "grid": {"t_min": 0.1, "t_max": 1.0, "n_points": 3},
@@ -256,6 +265,7 @@ REFUSED = [
     ("exact", ("grid", "t_min"), -1.0),
     ("exact", ("grid", "t_max"), 0.0),
     ("exact", ("grid", "n_points"), 0),
+    ("exact", ("grid", "n_points"), 1e300),
     ("markov", ("window", "t_start"), 0.0),
     ("markov", ("window", "t_end"), -1.0),
     ("fracfit", ("plateau",), -0.1),
@@ -264,6 +274,7 @@ REFUSED = [
     ("subordinate", ("alpha",), 1.5),
     ("subordinate", ("gamma",), 0.0),
     ("subordinate", ("n_samples",), 1),
+    ("subordinate", ("n_samples",), 1e300),
     ("subordinate", ("seed",), -1),
     ("subordinate", ("divisibility", "lam"), 0.0),
     ("subordinate", ("divisibility", "tau_fraction"), 0.0),
@@ -736,6 +747,29 @@ class TestCsvCells:
         writer.writerows(rows)
         assert body == want.getvalue()
         assert body.count("nan") == 4
+
+    def test_float_array_bytes_are_csv_writer_bytes(self, tmp_path):
+        # An ndarray is formatted once per distinct bit pattern: 0.0 and
+        # -0.0, and NaNs of two payloads, stay apart; cells repeat across
+        # rows and columns.
+        nan2 = np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0]
+        table = np.array([[0.0, -0.0, math.nan, 5e-324, 0.1],
+                          [-5e-324, 2.5e-310, math.inf, -math.inf, -0.0],
+                          [0.1, 0.1, -0.0, 0.0, nan2],
+                          [nan2, 1.0 / 3.0, 2.5e-310, 1e16, 1.0 / 3.0]])
+        columns = ["a", "b", "c", "d", "e"]
+        path = tmp_path / "table.csv"
+        cli._emit_csv(path, "abc", columns, table)
+        text = path.read_bytes().decode("utf-8")
+        body = "".join(line for line in text.splitlines(keepends=True)
+                       if not line.startswith("#"))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(table.tolist())
+        assert body == want.getvalue()
+        assert body.split("\n")[1] == "0.0,-0.0,nan,5e-324,0.1"
+        assert body.count("nan") == 3 and body.count("-0.0") == 3
 
     def test_trajectory_cells_parse_back_exactly(self, tmp_path):
         gen = {"dim": 2,

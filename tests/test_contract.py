@@ -153,6 +153,15 @@ def test_count_that_is_not_whole_raises_site_error(site, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad", [2**63, 1e300])
+@pytest.mark.parametrize("site", sorted(COUNT_CALLS))
+def test_count_above_array_size_raises_site_error(site, bad):
+    # No array can have more elements than the largest intp.
+    call, error = COUNT_CALLS[site]
+    with pytest.raises(error, match="whole number"):
+        call(bad)
+
+
 @pytest.mark.parametrize("site", sorted(COUNT_CALLS))
 def test_integral_float_count_is_the_int(site):
     call, _ = COUNT_CALLS[site]

@@ -133,7 +133,28 @@ MATRIX_FLOWS = {
                                    [-0.1j, 0.3, 1.0]]),
                          ((np.diag([1.0, math.sqrt(2.0)], 1), 0.3),)),
            _pure([1.0, 1.0j, 1.0])),
+    # m = 16: the dense core's blocks are 256 // 32 = 8 steps, not 16.
+    "d4": (GKSLGenerator(np.array([[0.0, 0.3, 0.0, 0.2j],
+                                   [0.3, 0.4, 0.1, 0.0],
+                                   [0.0, 0.1, 0.9, 0.3],
+                                   [-0.2j, 0.0, 0.3, 1.3]]),
+                         ((np.diag([1.0, math.sqrt(2.0), math.sqrt(3.0)], 1),
+                           0.25), (np.diag([0.0, 1.0, 2.0, 3.0]), 0.1))),
+           _pure([1.0, 1.0j, -0.5, 0.5])),
 }
+
+
+def _step_counts(m):
+    """Run lengths for the core tests of an m x m operator: the first steps,
+    one dense-core block B (2 <= B <= 16 here) less one step, one block, one
+    block and one step, and runs that end unevenly."""
+    block = min(fracsolve._DENSE_BLOCK, fracsolve._DENSE_ROWS_MAX // (2 * m))
+    return sorted({1, 2, block - 1, block, block + 1, 65, 130})
+
+
+# (flow, n) for the matrix core tests, with the block edges of each flow.
+MATRIX_RUNS = [(flow, n) for flow in sorted(MATRIX_FLOWS)
+               for n in _step_counts(MATRIX_FLOWS[flow][1].dim ** 2)]
 
 
 def _reference_defect(v):
@@ -330,7 +351,7 @@ class TestScalarSolve:
 
     @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("n", [1, 2, 65, 130])
+    @pytest.mark.parametrize("n", _step_counts(1))
     def test_core_matches_loop_reference(self, monkeypatch, scheme, alpha, n):
         _assert_rounding_close(*_fast_and_reference(
             monkeypatch,
@@ -444,10 +465,9 @@ class TestMatrixSolve:
 
     @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("n", [1, 2, 65, 130])
-    @pytest.mark.parametrize("flow", sorted(MATRIX_FLOWS))
-    def test_core_matches_loop_reference(self, monkeypatch, flow, scheme,
-                                         alpha, n):
+    @pytest.mark.parametrize("flow,n", MATRIX_RUNS)
+    def test_core_matches_loop_reference(self, monkeypatch, flow, n, scheme,
+                                         alpha):
         gen, init = MATRIX_FLOWS[flow]
         _assert_rounding_close(*_fast_and_reference(
             monkeypatch, lambda: fam_solve(gen, alpha, 0.01, n, init, scheme)))
@@ -455,17 +475,18 @@ class TestMatrixSolve:
     @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
     def test_chunked_history_matches_loop_reference(self, monkeypatch,
                                                     scheme):
-        # A 40-element chunk splits the (n, 2 d^2) float histories into
-        # pieces of 5 (d = 2) and 2 (d = 3) rows, and the (n, 2) scalar
-        # history into pieces of 20 rows.  Each flow patches the cores in
-        # its own context, so every flow runs the chunked cores first.
-        monkeypatch.setattr(fracsolve, "_DOT_CHUNK", 40)
+        # Blocks of 1, 3 and 7 steps, which every flow here admits; 3 and 7
+        # end unevenly at n = 130, one and four steps into the last block.
+        # Each run patches the cores in its own context, so every run steps
+        # with the block core first.
         flows = list(MATRIX_FLOWS.values()) + [(1.0 - 0.8j, 0.5)]
-        for gen, init in flows:
-            with monkeypatch.context() as patch:
-                _assert_rounding_close(*_fast_and_reference(
-                    patch,
-                    lambda: fam_solve(gen, 0.6, 0.01, 130, init, scheme)))
+        for block in (1, 3, 7):
+            for gen, init in flows:
+                with monkeypatch.context() as patch:
+                    patch.setattr(fracsolve, "_DENSE_BLOCK", block)
+                    _assert_rounding_close(*_fast_and_reference(
+                        patch,
+                        lambda: fam_solve(gen, 0.6, 0.01, 130, init, scheme)))
 
     def test_matrix_validation(self):
         gen = dephasing_qubit(0.0, 0.5)
