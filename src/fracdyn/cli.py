@@ -519,6 +519,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValidationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A config whose arrays cannot be allocated (numpy refuses at once).
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (AccuracyError, NumericalInstabilityError) as exc:
         print(f"numerical-accuracy failure: {exc}", file=sys.stderr)
         return 3

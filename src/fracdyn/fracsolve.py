@@ -38,20 +38,22 @@ once per solve.  Both schemes share that core.
 accumulators driven by a :class:`~fracdyn.kernels.SOEKernel`: the kernel is
 kept exact on the two most recent intervals (lag <= 2h) and approximated by
 sum_q w_q e^(-xi_q tau) beyond, giving O(Q) work per step instead of O(n).
+It runs the same block loop, in blocks of up to 64 steps, with the
+accumulators as the compressed far field of the history before a block.
 
 :func:`ml_propagate` evaluates the exact solution rho(t) = E_alpha(t^alpha M)
 rho(0) through the eigendecomposition of the superoperator.
 
 One set of solver cores serves both modes: each integrates D^alpha u = M u
 for an m x m operator M, the d^2 x d^2 superoperator acting on vec(rho) in
-matrix mode and M = [[-lambda]] in scalar mode (m = 1).  Both cores apply
-every corrector weight the same way, the new point's included.  Matrix mode
-shares the flow layer of :mod:`fracdyn.lindblad` with the subordination
-routes: the initial state is checked and M built by one helper, the
-eigenbasis of :func:`ml_propagate` comes from one rule, and the states of a
-trajectory are checked once, as one stack, after the core has run.  The
-trajectory keeps that stack and makes a step's DensityMatrix only when it is
-asked for.
+matrix mode and M = [[-lambda]] in scalar mode (m = 1).  The cores share
+one block loop and apply every corrector weight the same way, the new
+point's included.  Matrix mode shares the flow layer of
+:mod:`fracdyn.lindblad` with the subordination routes: the initial state is
+checked and M built by one helper, the eigenbasis of :func:`ml_propagate`
+comes from one rule, and the states of a trajectory are checked once, as one
+stack, after the core has run.  The trajectory keeps that stack and makes a
+step's DensityMatrix only when it is asked for.
 """
 
 from __future__ import annotations
@@ -290,31 +292,25 @@ class FracTrajectory:
 # use ndarray.dot, whose call overhead on these small operands is well below
 # that of the @ operator.
 #
-# The dense core (_dense_blocks, under both schemes' wrappers) and the SOE
-# core step in real form: each complex row is held as its (2m,) float view
-# (re, im interleaved) and each operator as its _real_form.  The history
-# weights are real, so a history sum is a real product over the (n, 2m) float
-# history, with half the flops of a complex one, and no step converts between
-# complex and float.  The SOE core's block rows are complex while they are
-# built, and real from then on.
+# All three cores are wrappers over one block loop, _dense_blocks, which steps
+# in real form: each complex row is held as its (2m,) float view (re, im
+# interleaved) and each operator as its _real_form.  The history weights are
+# real, so a history sum is a real product over the (n, 2m) float history,
+# with half the flops of a complex one, and no step converts between complex
+# and float.
 #
-# Both cores advance a block of B steps per Python iteration, so that the
+# The loop advances a block of B steps per Python iteration, so that the
 # interpreter's per-step overhead and the reading of the history are paid
-# once per block: the dense core with one gemm over the whole history, the
-# SOE core with one gemv of its composed rows.
+# once per block.  The history before a block enters through one gemm over a
+# table of lag weights for the dense cores, and through Q exponential modes,
+# its compressed far field, for the SOE core.
 
-# Steps composed into one affine map by the SOE core; fewer when the block's
-# real rows, B * 2m * 2 (1 + (Q + 2) m) elements for m x m operators, would
-# exceed _SOE_ROWS_MAX (large d, where they grow like m^2).  OpenBLAS 0.3.31
-# (numpy 2.4 wheels) hands a real gemv from 460,800 elements on to its
-# thread pool, whose handoff costs far more than the product on a busy core;
-# _SOE_ROWS_MAX stays below that line.
-_SOE_BLOCK = 64
-_SOE_ROWS_MAX = 460_000
-# Steps advanced together by the dense core; fewer when the block's real
-# width, B * 2m, would exceed _DENSE_ROWS_MAX, so that its (B 2m)^2 near-field
-# map stays a small gemv (large d, where one step alone is a wide product).
+# Steps advanced together by _dense_blocks: _DENSE_BLOCK with the dense
+# table, _SOE_BLOCK with the SOE modes; fewer when the block's real width,
+# B * 2m, would exceed _DENSE_ROWS_MAX, so that its (B 2m)^2 near-field map
+# stays a small gemv (large d, where one step alone is a wide product).
 _DENSE_BLOCK = 16
+_SOE_BLOCK = 64
 _DENSE_ROWS_MAX = 256
 
 
@@ -330,41 +326,72 @@ def _real_form(A):
     return out
 
 
-def _dense_blocks(G, x, lags, P, n_steps):
+def _dense_blocks(G, x, lags, P, n_steps, modes=None):
     """Overwrite rows 1..N of x, which hold c_1..c_N, with the solution of
     x_{n+1} = c_{n+1} + sum_{j=1..n} A_{n+1-j} G x_j.
 
     ``x`` is (N + 1, 2m), G and P are (2m, 2m).  The lag weights are
     A_l = lags[0][l] I, and with P A_l = lags[0][l] I + lags[1][l] P, for
     l = 0..N.
+
+    With ``modes`` = (E, eh, S) and no P, the weights from lag 3 on are
+    those of Q exponential modes, lags[0][l] = sum_q E[l-1, q] with
+    E[i, q] = wd_q eh_q^i, and lags[0] and E need only reach l = max(B, 2).
+    S (Q, 2m) holds S_q = sum_j eh_q^(n0-j) g_j over the history before a
+    block and is advanced in place.  It starts as the caller's g_0 term, so
+    g_0 enters every step through the modes, and c carries the rest of its
+    weight.
     """
     two_m = len(G)
-    block = max(1, min(_DENSE_BLOCK, n_steps, _DENSE_ROWS_MAX // two_m))
-    # Far field: W[N - n0 + j - 1, s B + i] = lags[s][n0 + 1 + i - j] weights
-    # g_j = G x_j (j <= n0) in x_{n0+1+i}, so a block's far history is the one
-    # product W[N - n0:].T g[1:n0+1].  Lags past N are zero.
-    lag = np.zeros((len(lags), n_steps + 1 + block))
-    lag[:, : n_steps + 1] = lags
-    W = sliding_window_view(lag, block, axis=1)[:, n_steps:0:-1]
-    W = np.ascontiguousarray(W.transpose(1, 0, 2)).reshape(n_steps, -1)
+    cap = _DENSE_BLOCK if modes is None else _SOE_BLOCK
+    block = max(1, min(cap, n_steps, _DENSE_ROWS_MAX // two_m))
+    if modes is None:
+        # Far field: W[N - n0 + j - 1, s B + i] = lags[s][n0 + 1 + i - j]
+        # weights g_j = G x_j (j <= n0) in x_{n0+1+i}, so a block's far
+        # history is the one product W[N - n0:].T g[1:n0+1].  Lags past N are
+        # zero.
+        lag = np.zeros((len(lags), n_steps + 1 + block))
+        lag[:, : n_steps + 1] = lags
+        W = sliding_window_view(lag, block, axis=1)[:, n_steps:0:-1]
+        W = np.ascontiguousarray(W.transpose(1, 0, 2)).reshape(n_steps, -1)
+    else:
+        # Compressed far field: a block's history is E[:k] S, plus, for the
+        # lags 1 and 2 across the block edge (g_{n0-1} and g_{n0} in
+        # x_{n0+1}, g_{n0} in x_{n0+2}), their exact weight less the modes'.
+        # After a block, S <- eh^B S + mix g_block.
+        E, eh, S = modes
+        lag2 = lags[0][2] - E[1].sum()
+        edge = np.array([[lag2, lags[0][1] - E[0].sum()], [0.0, lag2]])
+        with np.errstate(under="ignore"):
+            decay = (eh**block)[:, None]
+            mix = eh[:, None] ** np.arange(block - 1, -1, -1)
     # Near field: in a block, x_{n0+1+i} = b_i + sum_{l=1..i} A_l G
     # x_{n0+1+i-l} with b = c + far field, so the block is x = K b for the
     # block-lower-triangular Toeplitz K with K_0 = I and K_p = sum_{l=1..p}
-    # A_l G K_{p-l}; block row i of K is [K_i, ..., K_0, 0, ...].
+    # A_l G K_{p-l}; block (i, j) of K is K_{i-j}, held as kp[B - 1 + i - j],
+    # which is zero for i < j.
     ag = lags[0][1:block, None, None] * G
     if P is not None:
         ag += lags[1][1:block, None, None] * P.dot(G)
-    K = np.eye(block * two_m).reshape(block, two_m, -1)
-    for i in range(1, block):
-        K[i] += np.matmul(ag[:i], K[i - 1::-1]).sum(axis=0)
+    kp = np.zeros((2 * block - 1, two_m, two_m))
+    kp[block - 1] = np.eye(two_m)
+    for p in range(1, block):
+        kp[block - 1 + p] = np.matmul(
+            ag[:p], kp[block + p - 2: block - 2: -1]).sum(axis=0)
+    i = np.arange(block)
+    K = kp[block - 1 + i[:, None] - i].transpose(0, 2, 1, 3)
     K = K.reshape(block * two_m, -1)
 
-    g = np.empty_like(x)
+    g = np.zeros_like(x)  # g_0 = 0: the history is g_1..g_n
     flat = x.reshape(-1)
     for n0 in range(0, n_steps, block):
         k = min(block, n_steps - n0)
         xb = x[n0 + 1: n0 + k + 1]
-        if n0:
+        if modes is not None:
+            xb += E[:k].dot(S)
+            if n0:
+                xb[:2] += edge[:k].dot(g[n0 - 1: n0 + 1])
+        elif n0:
             far = W[n_steps - n0:].T.dot(g[1: n0 + 1])
             xb += far[:k]
             if P is not None:
@@ -373,22 +400,29 @@ def _dense_blocks(G, x, lags, P, n_steps):
             lo, hi = (n0 + 1) * two_m, (n0 + k + 1) * two_m
             flat[lo:hi] = K[: hi - lo, : hi - lo].dot(flat[lo:hi])
         xb.dot(G.T, out=g[n0 + 1: n0 + k + 1])
+        if modes is not None and n0 + block < n_steps:
+            S *= decay
+            S += mix.dot(g[n0 + 1: n0 + block + 1])
 
 
-def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
-    # StandardDFF: (I - pref v_0 M) u_{n+1} = u0 + pref * history.  The steps
-    # advance r_{n+1} = (I - pref v_0 M) u_{n+1}, which obeys
-    #   r_{n+1} = u0 + pref oldest_n g_0 + sum_{j=1..n} pref v_{n+1-j} ML r_j
-    # with ML = M (I - pref v_0 M)^(-1); u is recovered from r in one product
-    # afterwards.
-    left_inv = np.linalg.inv(np.eye(len(u0)) - (pref * vr[-1]) * M)
+def _implicit_blocks(M, u0, p0, oldest, lags, n_steps, modes=None):
+    # (I - p0 M) u_{n+1} = u0 + oldest_n g_0 + history of g_j = M u_j
+    # (j >= 1) under ``lags`` and ``modes`` as _dense_blocks takes them.  The
+    # steps advance r_{n+1} = (I - p0 M) u_{n+1}, whose history is G r_j with
+    # G = M (I - p0 M)^(-1); u is recovered from r in one product afterwards.
+    left_inv = np.linalg.inv(np.eye(len(u0)) - p0 * M)
     r = np.empty((n_steps + 1, 2 * len(u0)))
-    r[1:] = (u0 + (pref * oldest)[:, None] * (M @ u0)).view(np.float64)
-    _dense_blocks(_real_form(M @ left_inv), r, (pref * vr[::-1],), None,
-                  n_steps)
+    r[1:] = (u0 + oldest[:, None] * (M @ u0)).view(np.float64)
+    _dense_blocks(_real_form(M @ left_inv), r, (lags,), None, n_steps, modes)
     u = r.view(np.complex128) @ left_inv.T
     u[0] = u0
     return u
+
+
+def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
+    # StandardDFF: (I - pref v_0 M) u_{n+1} = u0 + pref * history.
+    return _implicit_blocks(M, u0, pref * vr[-1], pref * oldest,
+                            pref * vr[::-1], n_steps)
 
 
 def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
@@ -412,81 +446,26 @@ def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
 
 def _soe_core(M, u0, pref, alpha_w, a2, b2, w, eh, phi0, phi1, n_steps):
     # StandardDFF + SOE history: near field (lag <= 2h) exact, far field via
-    # Q exponential accumulators H_q (m-vectors), updated from step 1 on as
-    # H_q <- eh_q (H_q + eh_q (phi1_q g_{n-1} + phi0_q g_n)).
-    #
-    # From step 1 on, u_{n+1} = L (u0 + (pref alpha + a2) g_n + b2 g_{n-1}
-    # + sum_q w_q H_q) with L = (I - pref M)^(-1), and the state
-    # x_n = (1, g_n, g_{n-1}, H_1..H_Q) advances by one fixed affine map.  A
-    # block of B steps is then u_{n+k} = c_k + P_k g_n + R_k g_{n-1}
-    # + sum_q W_kq H_q, k = 1..B, where k = 1 reads off the step above and
-    #   c' = c + PML u0,
-    #   P' = (pref alpha + a2) PML + R + sum_q eh_q^2 phi0_q W_q,
-    #   R' = b2 PML + sum_q eh_q^2 phi1_q W_q,
-    #   W'_q = w_q PML + eh_q W_q,
-    # with PML = P M L.  The accumulators jump ahead in closed form,
-    # H_{n+B} = eh^B H_n + sum_j m_j g_{n-1+j}.  A block is one real gemv of
-    # the rows' real form, kept below OpenBLAS's thread-pool size.
-    m = len(u0)
-    left_inv = np.linalg.inv(np.eye(m) - pref * M)
-    u = np.empty((n_steps + 1, 2 * m))
-    g = np.empty_like(u)
-    uc, gc = u.view(np.complex128), g.view(np.complex128)
-    uc[0] = u0
-    gc[0] = M @ u0
-    uc[1] = left_inv.dot(u0 + pref * alpha_w * gc[0])
-    gc[1] = M.dot(uc[1])
-    if n_steps == 1:
-        return uc
-    n_modes = len(w)
-    near = pref * alpha_w + a2
-    width = 1 + (2 + n_modes) * m
-    block = max(1, min(_SOE_BLOCK, n_steps - 1,
-                       _SOE_ROWS_MAX // (4 * m * width)))
-    ml = M.dot(left_inv)
-    # rows[k] = [c, P, R, W] acts on x = (1, g_n, g_{n-1}, H.ravel()), with
-    # W[:, q, :] = W_q; the accumulators H (Q x m) live in x.
-    rows = np.empty((block, m, width), dtype=np.complex128)
-    c = left_inv.dot(u0)
-    P = near * left_inv
-    R = b2 * left_inv
-    W = left_inv[:, None, :] * w[:, None]
+    # Q exponential accumulators H_q, updated from step 1 on as
+    # H_q <- eh_q (H_q + eh_q (phi1_q g_{n-1} + phi0_q g_n)).  Unrolled, this
+    # is the implicit dense core, (I - pref M) u_{n+1} = u0 + sum_l lam_l
+    # g_{n+1-l}, with lam_1 = pref alpha + a2, lam_2 = b2 + sum_q w_q eh_q^2
+    # phi0_q and, from lag 3 on, the modes' weights lam_l = sum_q wd_q
+    # eh_q^(l-1), wd = w phi with phi = phi0 eh + phi1: the modes are its far
+    # field.  g_0 is weighted by pref alpha in step 1, b2 in step 2 and
+    # sum_q w_q phi1_q eh_q^n in step n + 1 > 2, that is the modes' weights
+    # for g_0 scaled by phi1 / phi, which is how S starts; ``oldest``
+    # corrects steps 1 and 2.
+    phi = phi0 * eh + phi1
     with np.errstate(under="ignore"):
-        eh2_phi0 = eh * eh * phi0
-        eh2_phi1 = eh * eh * phi1
-        for k in range(block):
-            rows[k, :, 0] = c
-            rows[k, :, 1: 1 + m] = P
-            rows[k, :, 1 + m: 1 + 2 * m] = R
-            rows[k, :, 1 + 2 * m:] = W.reshape(m, n_modes * m)
-            pml = P.dot(ml)
-            c, P, R, W = (c + pml.dot(u0),
-                          near * pml + R + eh2_phi0.dot(W),
-                          b2 * pml + eh2_phi1.dot(W),
-                          pml[:, None, :] * w[:, None] + eh[:, None] * W)
-        # m_j weights g_{n-1+j}: phi1 eh^(B+1-j) for j < B, phi0 eh^(B+2-j)
-        # for j >= 1.
-        powers = eh[:, None] ** np.arange(block + 1, 1, -1)
-        decay = (eh**block)[:, None]
-    mix = np.zeros((n_modes, block + 1))
-    mix[:, :block] = phi1[:, None] * powers
-    mix[:, 1:] += phi0[:, None] * powers
-    rows = _real_form(rows).reshape(block * 2 * m, 2 * width)
-    mr_t = _real_form(M).T
-    x = np.zeros(2 * width)
-    x[0] = 1.0
-    hist = x[2 + 4 * m:].reshape(n_modes, 2 * m)  # H, updated in place
-    for n in range(1, n_steps, block):
-        stop = min(n + block, n_steps)
-        x[2: 2 + 2 * m] = g[n]
-        x[2 + 2 * m: 2 + 4 * m] = g[n - 1]
-        rows[: (stop - n) * 2 * m].dot(
-            x, out=u[n + 1: stop + 1].reshape(-1))
-        u[n + 1: stop + 1].dot(mr_t, out=g[n + 1: stop + 1])
-        if stop < n_steps:
-            hist *= decay
-            hist += mix.dot(g[n - 1: stop])
-    return uc
+        E = (w * phi) * eh ** np.arange(_SOE_BLOCK + 2)[:, None]
+        lags = np.concatenate(([pref], E.sum(axis=1)))
+        lags[1:3] = pref * alpha_w + a2, b2 + w.dot(eh * eh * phi0)
+    oldest = np.zeros(n_steps)
+    oldest[:2] = (pref * alpha_w - w.dot(phi1), b2 - w.dot(phi1 * eh))[:n_steps]
+    start = (phi1 / phi)[:, None] * (M @ u0).view(np.float64)
+    return _implicit_blocks(M, u0, pref, oldest, lags, n_steps,
+                            (E, eh, start))
 
 
 # ----------------------------------------------------------------------------
@@ -618,6 +597,8 @@ def fam_solve_soe(
     order, h, n_steps = _validate_solve_args(alpha, h, n_steps)
     a = order.alpha
 
+    if not isinstance(soe, SOEKernel):
+        raise ValidationError("soe must be an SOEKernel")
     if abs(soe.alpha.alpha - a) > 1e-12:
         raise ValidationError("SOE kernel alpha does not match solver alpha")
     t_lo, t_hi = soe.valid_range

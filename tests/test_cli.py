@@ -158,6 +158,20 @@ class TestConfigValidation:
                "regime": "short_time"}
         assert run(tmp_path, doc)[0] == 2
 
+    def test_grid_beyond_memory_is_config_error(self, tmp_path, capsys):
+        # 1e15 points need 7 PiB, past any address space, so numpy refuses
+        # the allocation at once; the run ends with a one-line config error.
+        doc = {"command": "exact", "bath": {"eta": 1.0, "chi": 1.0},
+               "grid": {"t_min": 10.0, "t_max": 1000.0, "n_points": 1e15,
+                        "spacing": "log"},
+               "regime": "ohmic"}
+        code, out = run(tmp_path, doc)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_log_grid_needs_positive_start(self, tmp_path):
         doc = {"command": "exact", "bath": {"eta": 1.0, "chi": 0.5},
                "grid": {"t_min": 0.0, "t_max": 1.0, "n_points": 3,

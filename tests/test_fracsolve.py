@@ -144,17 +144,20 @@ MATRIX_FLOWS = {
 }
 
 
-def _step_counts(m):
+def _step_counts(m, cap=fracsolve._DENSE_BLOCK):
     """Run lengths for the core tests of an m x m operator: the first steps,
-    one dense-core block B (2 <= B <= 16 here) less one step, one block, one
-    block and one step, and runs that end unevenly."""
-    block = min(fracsolve._DENSE_BLOCK, fracsolve._DENSE_ROWS_MAX // (2 * m))
+    one block B of the block loop (``cap`` steps, fewer for large m; 8 <= B
+    <= 64 here) less one step, one block, one block and one step, and runs
+    that end unevenly."""
+    block = min(cap, fracsolve._DENSE_ROWS_MAX // (2 * m))
     return sorted({1, 2, block - 1, block, block + 1, 65, 130})
 
 
-# (flow, n) for the matrix core tests, with the block edges of each flow.
-MATRIX_RUNS = [(flow, n) for flow in sorted(MATRIX_FLOWS)
-               for n in _step_counts(MATRIX_FLOWS[flow][1].dim ** 2)]
+def _matrix_runs(cap):
+    """(flow, n) for the matrix core tests, with the block edges of each
+    flow for blocks of up to ``cap`` steps."""
+    return [(flow, n) for flow in sorted(MATRIX_FLOWS)
+            for n in _step_counts(MATRIX_FLOWS[flow][1].dim ** 2, cap)]
 
 
 def _reference_defect(v):
@@ -465,7 +468,7 @@ class TestMatrixSolve:
 
     @pytest.mark.parametrize("scheme", ["standard_dff", "paper_printed"])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("flow,n", MATRIX_RUNS)
+    @pytest.mark.parametrize("flow,n", _matrix_runs(fracsolve._DENSE_BLOCK))
     def test_core_matches_loop_reference(self, monkeypatch, flow, n, scheme,
                                          alpha):
         gen, init = MATRIX_FLOWS[flow]
@@ -622,9 +625,8 @@ class TestSoeSolve:
         assert dev < 10.0 * soe.tol
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("n", [1, 2, 65, 130])
+    @pytest.mark.parametrize("n", _step_counts(1, fracsolve._SOE_BLOCK))
     def test_core_matches_loop_reference(self, monkeypatch, alpha, n):
-        # n = 65 and 130 end one step into a new 64-step block.
         h = 0.01
         soe = soe_compress(alpha, t_min=h, t_max=h * n, tol=1e-8)
         _assert_rounding_close(*_fast_and_reference(
@@ -632,8 +634,7 @@ class TestSoeSolve:
             lambda: fam_solve_soe(1.0 - 0.8j, alpha, h, n, 0.5, soe)))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("n", [1, 2, 65, 130])
-    @pytest.mark.parametrize("flow", sorted(MATRIX_FLOWS))
+    @pytest.mark.parametrize("flow,n", _matrix_runs(fracsolve._SOE_BLOCK))
     def test_matrix_core_matches_loop_reference(self, monkeypatch, flow,
                                                 alpha, n):
         gen, init = MATRIX_FLOWS[flow]
@@ -643,17 +644,32 @@ class TestSoeSolve:
             monkeypatch, lambda: fam_solve_soe(gen, alpha, h, n, init, soe)))
 
     def test_short_blocks_match_loop_reference(self, monkeypatch):
-        # A small row budget cuts the 64-step blocks to 1, 2 and 5 steps.
-        # A step's real rows are 2m x 2 (1 + (2 + Q) m) floats, m = 9.
+        # Blocks of 1, 2 and 5 steps, which d = 3 admits; in one-step blocks
+        # every step crosses a block edge, and so do both exact lags.
         gen, init = MATRIX_FLOWS["d3"]
         soe = soe_compress(0.6, t_min=0.01, t_max=1.3, tol=1e-8)
-        step_rows = 18 * 2 * (1 + (2 + soe.n_terms) * 9)
         for block in (1, 2, 5):
-            monkeypatch.setattr(fracsolve, "_SOE_ROWS_MAX", block * step_rows)
-            _assert_rounding_close(*_fast_and_reference(
-                monkeypatch,
-                lambda: fam_solve_soe(gen, 0.6, 0.01, 130, init, soe)))
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(fracsolve, "_SOE_BLOCK", block)
+                _assert_rounding_close(*_fast_and_reference(
+                    patch,
+                    lambda: fam_solve_soe(gen, 0.6, 0.01, 130, init, soe)))
+
+    def test_d8_matches_dense(self):
+        # d = 8 (m = 64) steps in two-step blocks: a random Hermitian H and
+        # a ladder jump, so the superoperator is dense and non-normal.
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        gen = GKSLGenerator(0.25 * (a + a.conj().T),
+                            ((np.diag(np.sqrt(np.arange(1.0, 8.0)), 1), 0.3),))
+        init = _pure(rng.normal(size=8) + 1j * rng.normal(size=8))
+        alpha, h, n = 0.7, 0.005, 300
+        soe = soe_compress(alpha, t_min=h, t_max=h * n, tol=1e-8)
+        dense = fam_solve(gen, alpha, h, n, init)
+        fast = fam_solve_soe(gen, alpha, h, n, init, soe)
+        dev = np.max(np.abs(dense._matrix_table()[1]
+                            - fast._matrix_table()[1]))
+        assert dev < 10.0 * soe.tol
 
     def test_alpha_one_identical(self):
         soe = soe_compress(1.0, t_min=0.01, t_max=1.0, tol=1e-8)
@@ -687,6 +703,8 @@ class TestSoeSolve:
             fam_solve_soe(1.0, 0.6, 0.01, 100, 1.0, soe)  # alpha mismatch
         with pytest.raises(ValidationError):
             fam_solve_soe(1.0, 0.5, 0.01, 500, 1.0, soe)  # range too short
+        with pytest.raises(ValidationError, match="SOEKernel"):
+            fam_solve_soe(1.0, 0.5, 0.01, 100, 1.0, "x")
 
 
 # ---------------------------------------------------------------------------
