@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Run every demo config through the fracdyn CLI into demos/output/.
-# Each line is "<subcommand> <config stem>"; artifacts land next to a
+# Each line is "<command> <config stem>"; artifacts land next to a
 # matching name so the README's pointers stay valid.
 set -euo pipefail
 cd "$(dirname "$0")"

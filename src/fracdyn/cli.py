@@ -240,20 +240,27 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
     ``rows`` is a float table, as an (n, len(columns)) ndarray, or a sequence
     of rows.  Every cell is written as ``str(cell)``: a float as its repr
     (the shortest text that parses back to the same double), an int as its
-    digits, a str verbatim; NumPy scalars print the same way.  A table's
-    cells are formatted once per distinct bit pattern, which keeps 0.0 and
-    -0.0 apart: the density-matrix stacks of ``solve`` repeat most cells
-    (re rho_ji equals re rho_ij, im rho_ii is 0.0).  The commands' cells
-    are numbers or ``''``, none of which CSV quotes, so the rows are joined
-    as they are: the bytes are those of ``csv.writer(fh,
-    lineterminator="\n")``.
+    digits, a str verbatim; NumPy scalars print the same way.  A table is
+    formatted a column at a time, and a column repeats whole where the
+    commands' tables repeat: one whose bits equal an earlier column's takes
+    that column's text (re rho_ji is re rho_ij in a Hermitian trajectory,
+    |u| is re u at epsilon = 0), and one whose cells share one bit pattern
+    is formatted once (im rho_ii is 0.0).  Comparing bits keeps 0.0 and
+    -0.0 apart.  The commands' cells are numbers or ``''``, none of which
+    CSV quotes, so the rows are joined as they are: the bytes are those of
+    ``csv.writer(fh, lineterminator="\n")``.
     """
     if isinstance(rows, np.ndarray):
-        bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
-        distinct, where = np.unique(bits, return_inverse=True)
-        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())),
-                         dtype=object)
-        rows = texts[where.reshape(bits.shape)].tolist()
+        table = np.ascontiguousarray(rows.T, dtype=np.float64)
+        seen, cells = {}, []
+        for col, bits in zip(table, table.view(np.uint64)):
+            key = bits.tobytes()
+            if key not in seen:
+                seen[key] = ([repr(col[0].item())] * col.size
+                             if col.size and (bits == bits[0]).all()
+                             else list(map(repr, col.tolist())))
+            cells.append(seen[key])
+        rows = zip(*cells)
     else:
         rows = (map(str, row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -286,8 +293,21 @@ def _cmd_exact(config: dict, out: Path, digest: str) -> int:
             q_asym[i] = 0.0
         else:
             q_asym[i] = asymptotic_Q(bath, float(t), regime)
-    denom = float(np.dot(q_asym, q_asym))
-    prefactor = float(np.dot(q, q_asym) / denom) if denom > 0.0 else 1.0
+    # The least-squares amplitude of q on q_asym, with q_asym scaled by a
+    # power of two to near 1 so that neither dot product leaves the range
+    # of a double; the scaling is exact.
+    exponent = math.frexp(float(np.max(np.abs(q_asym))))[1]
+    scaled = np.ldexp(q_asym, -exponent)
+    denom = float(np.dot(scaled, scaled))
+    try:
+        prefactor = (math.ldexp(float(np.dot(q, scaled)) / denom, -exponent)
+                     if denom > 0.0 else 1.0)
+    except OverflowError:
+        prefactor = math.inf
+    if not math.isfinite(prefactor):
+        raise DomainError(
+            f"amplitude_prefactor is {prefactor!r}: Q or its asymptote is "
+            "out of range on this grid")
     table = np.array([(t, qt, math.exp(-qt), qa, math.exp(-qa)) for t, qt, qa
                       in zip(grid.tolist(), q.tolist(),
                              (prefactor * q_asym).tolist())])
@@ -462,29 +482,35 @@ def _cmd_solve(config: dict, out: Path, digest: str) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+_COMMANDS = """\
+commands:
+  exact        exact dephasing curve with asymptote columns
+  markov       constant-rate fit vs time-local vs exact curves
+  fracfit      fractional (alpha, lambda) fit artifacts
+  subordinate  subordination validation: quadrature/ML/Monte-Carlo
+  solve        fractional Adams-Moulton run on a generator JSON
+"""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracdyn",
         description="Fractional open-quantum-dynamics reproduction runner.",
+        epilog=_COMMANDS,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in [
-        ("exact", "exact dephasing curve with asymptote columns"),
-        ("markov", "constant-rate fit vs time-local vs exact curves"),
-        ("fracfit", "fractional (alpha, lambda) fit artifacts"),
-        ("subordinate", "subordination validation: quadrature/ML/Monte-Carlo"),
-        ("solve", "fractional Adams-Moulton run on a generator JSON"),
-    ]:
-        cmd = sub.add_parser(name, help=text)
-        cmd.add_argument("--config", required=True,
-                         help="path to the experiment JSON")
-        cmd.add_argument("--out", required=True,
-                         help=f"output CSV path (${_OUT_DIR_ENV} prefixes "
-                              "relative paths)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed (subordinate only)")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the Monte-Carlo rows")
+    parser.add_argument("command", choices=_FIELDS,
+                        help="the experiment to run; the config's "
+                             "'command' must name it")
+    parser.add_argument("--config", required=True,
+                        help="path to the experiment JSON")
+    parser.add_argument("--out", required=True,
+                        help=f"output CSV path (${_OUT_DIR_ENV} prefixes "
+                             "relative paths)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config seed (subordinate only)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads for the Monte-Carlo rows")
     return parser
 
 

@@ -311,13 +311,21 @@ def _chi_gamma(bath: BathSpec, x: float) -> float:
             f"chi = {bath.chi:g} overflows Gamma({x:g})") from None
 
 
+def _finite_asymptote(bath: BathSpec, t: float, q: float) -> float:
+    """``q``; DomainError naming omega_c if it overflowed."""
+    if math.isinf(q):
+        raise DomainError(f"omega_c = {bath.omega_c:g} overflows the "
+                          f"asymptote at t = {t:g}")
+    return q
+
+
 def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime) -> float:
     """Leading-order asymptotic form of Q(t) in the given regime.
 
     ShortTime: (1/2) eta Gamma(chi+1) omega_c^2 t^2 (any chi).
     SubOhmic (chi < 1): C_chi t^(1-chi) with
         C_chi = -(2/pi) eta omega_c^(1-chi) Gamma(chi-1) sin(pi chi / 2).
-    Ohmic (chi = 1): (eta/2) ln(omega_c^2 t^2).
+    Ohmic (chi = 1): (eta/2) ln(omega_c^2 t^2) = eta ln(omega_c t).
     SuperOhmic (chi > 1): the plateau Q_inf = (2/pi) eta Gamma(chi-1); the
         approach Q_inf - d t^(1-chi), whose d is fitted, is the caller's.
 
@@ -333,24 +341,28 @@ def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime) -> float:
     that grows faster).
 
     Whether ``t`` lies in the regime's validity range is the caller's
-    responsibility; chi must match the regime.
+    responsibility; chi must match the regime.  A ShortTime or SubOhmic
+    value beyond the largest double is a DomainError naming omega_c.
     """
     if not isinstance(regime, AsymptoticRegime):
         raise ValidationError("regime must be an AsymptoticRegime")
     t = _nonneg_float(t, "asymptotic_Q t", strict=True)
     eta, chi, wc = bath.eta, bath.chi, bath.omega_c
     if regime is AsymptoticRegime.ShortTime:
-        return 0.5 * eta * _chi_gamma(bath, chi + 1.0) * wc * wc * t * t
+        return _finite_asymptote(
+            bath, t, 0.5 * eta * _chi_gamma(bath, chi + 1.0) * wc * wc * t * t)
     if regime is AsymptoticRegime.SubOhmic:
         if chi >= 1.0:
             raise DomainError("SubOhmic asymptotics require chi < 1")
         c_chi = -(2.0 / math.pi) * eta * wc ** (1.0 - chi) \
             * math.gamma(chi - 1.0) * math.sin(0.5 * math.pi * chi)
-        return c_chi * t ** (1.0 - chi)
+        return _finite_asymptote(bath, t, c_chi * t ** (1.0 - chi))
     if regime is AsymptoticRegime.Ohmic:
         if chi != 1.0:
             raise DomainError("Ohmic asymptotics require chi = 1")
-        return 0.5 * eta * math.log(wc * wc * t * t)
+        # ln(omega_c t) as a sum of logs: the product may leave the range
+        # of a double where the log does not.
+        return eta * (math.log(wc) + math.log(t))
     if chi <= 1.0:
         raise DomainError("SuperOhmic asymptotics require chi > 1")
     return (2.0 / math.pi) * eta * _chi_gamma(bath, chi - 1.0)

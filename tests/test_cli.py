@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fracdyn import cli
 from fracdyn.cli import main
@@ -360,6 +362,42 @@ def test_non_finite_literal_is_config_error(tmp_path, capsys, command, key,
     assert not out.exists()
 
 
+EXACT_DOC = {"command": "exact", "bath": {"eta": 1.0, "chi": 0.5},
+             "grid": {"t_min": 0.5, "t_max": 1.0, "n_points": 2},
+             "regime": "short_time"}
+
+
+class TestParser:
+    def test_options_before_the_command(self, tmp_path):
+        cfg = write_config(tmp_path, EXACT_DOC)
+        after = tmp_path / "after.csv"
+        before = tmp_path / "before.csv"
+        assert main(["exact", "--config", cfg, "--out", str(after)]) == 0
+        assert main(["--out", str(before), "--threads", "2", "--config", cfg,
+                     "exact"]) == 0
+        assert before.read_bytes() == after.read_bytes()
+
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for command in ("exact", "markov", "fracfit", "subordinate",
+                        "solve"):
+            assert f"\n  {command} " in text
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate", "--config", "c.json", "--out", "o.csv"],
+         "invalid choice: 'frobnicate'"),
+        (["exact", "--config", "c.json"], "required: --out"),
+    ], ids=["unknown-command", "missing-out"])
+    def test_usage_error_exits_2(self, tmp_path, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestExact:
     def test_short_time_columns(self, tmp_path):
         doc = {"command": "exact", "bath": {"eta": 1.0, "chi": 0.5},
@@ -413,6 +451,59 @@ class TestExact:
                "grid": {"t_min": 10.0, "t_max": 100.0, "n_points": 3},
                "regime": "sub_ohmic"}
         assert run(tmp_path, doc)[0] == 2
+
+    def test_prefactor_past_the_double_range(self, tmp_path):
+        # The asymptote reaches 1e200, so its squares overflow a double; the
+        # fitted amplitude is still the least-squares one.
+        doc = {"command": "exact",
+               "bath": {"eta": 1.0, "chi": 0.5, "omega_c": 1e100},
+               "grid": {"t_min": 0.1, "t_max": 1.0, "n_points": 5},
+               "regime": "short_time"}
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        comments, header, rows = read_csv(out)
+        pref = next(float(c.split(":")[1]) for c in comments
+                    if "amplitude_prefactor" in c)
+        times = column(header, rows, "t")
+        q = column(header, rows, "Q")
+        # q_asym = c t^2 with c = 1e200 Gamma(3/2) / 2, so the amplitude is
+        # sum(q t^2) / (c sum(t^4)).
+        want = (np.dot(q, times**2) / np.dot(times**2, times**2)
+                / (0.5e200 * math.gamma(1.5)))
+        assert pref == pytest.approx(want, rel=1e-13)
+        assert 1e-150 < pref < 1e-149
+        np.testing.assert_allclose(column(header, rows, "Q_asym"),
+                                   pref * 0.5e200 * math.gamma(1.5) * times**2,
+                                   rtol=1e-13)
+
+    @pytest.mark.parametrize("bath, regime, message", [
+        ({"eta": 1.0, "chi": 0.5, "omega_c": 1e300}, "short_time",
+         "omega_c = 1e+300"),
+        # eta ln(omega_c t) passes the largest double; (2/pi) of it, Q,
+        # does not.
+        ({"eta": 1e306, "chi": 1.0, "omega_c": 3.7e107}, "ohmic",
+         "amplitude_prefactor is nan"),
+    ], ids=["asymptote", "prefactor"])
+    def test_overflow_is_config_error(self, tmp_path, capsys, bath, regime,
+                                      message):
+        doc = {"command": "exact", "bath": bath,
+               "grid": {"t_min": 10.0, "t_max": 1000.0, "n_points": 5},
+               "regime": regime}
+        code, out = run(tmp_path, doc)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ohmic_asymptote_below_the_double_range(self, tmp_path):
+        # omega_c^2 t^2 underflows to 0; ln(omega_c t) does not.
+        doc = {"command": "exact",
+               "bath": {"eta": 1.0, "chi": 1.0, "omega_c": 1e-200},
+               "grid": {"t_min": 1.0, "t_max": 10.0, "n_points": 3},
+               "regime": "ohmic"}
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        _, header, rows = read_csv(out)
+        assert np.all(np.isfinite(column(header, rows, "Q_asym")))
 
     @pytest.mark.parametrize("bath", [{"eta": 1.0, "chi": 180.0},
                                       {"eta": 1.0, "chi": 160.0, "beta": 1.0}])
@@ -728,6 +819,32 @@ def _reference_cell(value):
     return repr(float(value))
 
 
+_NAN2 = float(np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0])
+_SPECIAL_CELLS = [0.0, -0.0, math.nan, _NAN2, math.inf, -math.inf, 5e-324,
+                  -2.5e-310]
+
+
+@st.composite
+def float_tables(draw):
+    """An (n, k) float table of 0 to 5 rows whose columns are drawn fresh,
+    constant, or as a copy or the negation of an earlier column."""
+    n = draw(st.integers(0, 5))
+    cells = st.one_of(st.floats(), st.sampled_from(_SPECIAL_CELLS))
+    cols = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("fresh", "constant", "copy", "negated")
+                                    [:4 if cols else 2]))
+        if kind == "fresh":
+            col = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+        elif kind == "constant":
+            col = np.full(n, draw(cells))
+        else:
+            col = cols[draw(st.integers(0, len(cols) - 1))]
+            col = col.copy() if kind == "copy" else -col
+        cols.append(col.astype(np.float64))
+    return np.column_stack(cols)
+
+
 class TestCsvCells:
     def test_mixed_row_text(self, tmp_path):
         row = ("", 3, np.int64(-12), np.float64(0.1), -0.0, 5e-324,
@@ -784,6 +901,21 @@ class TestCsvCells:
         assert body == want.getvalue()
         assert body.split("\n")[1] == "0.0,-0.0,nan,5e-324,0.1"
         assert body.count("nan") == 3 and body.count("-0.0") == 3
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=float_tables())
+    def test_any_float_table_gives_csv_writer_bytes(self, tmp_path, table):
+        columns = [f"c{j}" for j in range(table.shape[1])]
+        path = tmp_path / "table.csv"
+        cli._emit_csv(path, "abc", columns, table)
+        body = "".join(line for line in path.read_text().splitlines(True)
+                       if not line.startswith("#"))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(table.tolist())
+        assert body == want.getvalue()
 
     def test_trajectory_cells_parse_back_exactly(self, tmp_path):
         gen = {"dim": 2,

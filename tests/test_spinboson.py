@@ -524,6 +524,26 @@ class TestAsymptoticQ:
         assert asymptotic_Q(OHMIC, 10.0, AsymptoticRegime.Ohmic) == \
             pytest.approx(0.5 * math.log(100.0), rel=1e-12)
 
+    @pytest.mark.parametrize("omega_c, t, want", [
+        # eta ln(omega_c t), where omega_c^2 t^2 is past the largest double
+        # or below the smallest subnormal.
+        (1e200, 1.0, 200.0 * math.log(10.0)),
+        (1e-200, 1.0, -200.0 * math.log(10.0)),
+        (1.0, 1e-170, -170.0 * math.log(10.0)),
+    ])
+    def test_ohmic_beyond_the_double_range(self, omega_c, t, want):
+        bath = BathSpec(0.5, 1.0, omega_c)
+        assert asymptotic_Q(bath, t, AsymptoticRegime.Ohmic) == \
+            pytest.approx(0.5 * want, rel=1e-15)
+
+    @pytest.mark.parametrize("bath, regime", [
+        (BathSpec(1.0, 0.5, 1e300), AsymptoticRegime.ShortTime),
+        (BathSpec(1e300, 0.5, 1e300), AsymptoticRegime.SubOhmic),
+    ], ids=["short_time", "sub_ohmic"])
+    def test_overflow_is_domain_error(self, bath, regime):
+        with pytest.raises(DomainError, match="omega_c = 1e\\+300"):
+            asymptotic_Q(bath, 1e10, regime)
+
     def test_sub_ohmic_constant(self):
         bath = BathSpec(1.0, 0.5, 1.0)
         c_half = -(2.0 / math.pi) * math.gamma(-0.5) * math.sin(math.pi / 4.0)
