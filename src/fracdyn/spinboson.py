@@ -200,8 +200,13 @@ def dephasing_Q(bath: BathSpec, t) -> Union[float, np.ndarray]:
     chi = 1 and 2: against 40-digit mpmath, the relative error is below
     1e-14 for chi in [0.05, 10], beta in [1e-3, 1e6] and t in [1e-8, 1e8].
     """
-    return _on_times(bath, t, "dephasing_Q", 1.0 - bath.chi, _q_order,
-                     (2.0 / math.pi) * bath.eta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _on_times(bath, t, "dephasing_Q", 1.0 - bath.chi, _q_order,
+                      (2.0 / math.pi) * bath.eta)
+    if not np.all(np.isfinite(q)):
+        raise DomainError(f"dephasing_Q: eta = {bath.eta:g} overflows Q at "
+                          f"omega_c = {bath.omega_c:g}")
+    return q + 0.0  # Q >= 0: an underflowed -0.0 becomes +0.0
 
 
 def bath_correlation(bath: BathSpec, t) -> Union[float, np.ndarray]:

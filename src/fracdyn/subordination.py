@@ -296,11 +296,15 @@ def trajectory_estimate(
     if basis is not None:
         evals, V = basis
         c = (o_row @ V) * (np.linalg.inv(V) @ rho0)
-        # A row sum, not `@ c`: OpenBLAS runs an (n_samples, d^2) complex
-        # mat-vec on its thread pool, whose spinning workers slow the other
-        # CLI row threads on a 2-core host by about a third.
+        # One (n_samples, d^2) buffer, exponentiated and weighted in place,
+        # and a row sum, not `@ c`: OpenBLAS runs that complex mat-vec on its
+        # thread pool, whose spinning workers slow the other CLI row threads
+        # on a 2-core host by about a third.
+        terms = np.outer(u, evals)
         with np.errstate(over="ignore", under="ignore"):
-            vals = (np.exp(np.outer(u, evals)) * c).sum(axis=1)
+            np.exp(terms, out=terms)
+        terms *= c
+        vals = terms.sum(axis=1)
     else:
         from scipy.linalg import expm
 

@@ -1149,8 +1149,8 @@ class TestDeferredScipy:
                                        atol=0.0, err_msg=key)
 
     def test_subordinate_first_use_in_pool_threads(self, tmp_path):
-        # With two threads both pool workers first evaluate Gamma (the
-        # M-Wright series weights) at once; none of it may import scipy.
+        # With two threads both pool workers first build the clock rule
+        # (the M-Wright weights) at once; none of it may import scipy.
         out = tmp_path / "subordinate_mc.csv"
         loaded = fresh_cli("subordinate", DEMOS / "configs" / "subordinate_mc.json",
                            out, "--threads", "2")

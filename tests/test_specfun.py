@@ -413,6 +413,61 @@ def test_mw_reference_values(alpha, z, expected):
     assert m_wright(alpha, z) == pytest.approx(expected, abs=1e-10)
 
 
+# (alpha, z, M_alpha(z)) from 40-digit mpmath: the power series, and a
+# trapezoid rule on the steepest-descent path whose step, halved, changes
+# no digit; the two agree to 1e-40 where both converge.  The points lie on
+# both paths, near the peak as alpha -> 1 and in the tails.
+_MW_RELATIVE = [
+    (0.95, 1.3531815907953977, 5.793139723096245062e-3),
+    (0.8, 2.55, 3.807351127868813182e-4),
+    (0.8, 2.5, 8.501774204953106776e-4),
+    (0.8, 1.5, 0.6554283541751052592),
+    (0.9, 1.5, 0.4557525105706377596),
+    (0.6, 4.8, 6.920663883756804610e-5),
+    (0.3, 9.0, 2.307675158119753971e-5),
+    (0.5, 5.695, 1.698455279819151094e-4),
+    (0.01, 25.0, 1.530841984105627334e-11),
+    (0.99, 0.01, 1.025822919500205125e-2),
+]
+# The ends of the alpha range, held to 1e-11: at 0.999 the fixed path sums
+# to M(0) = 1/Gamma(0.001) from terms of order 1; the last two rows are
+# M = 1e-30 and 1e-300 on the steep side of the peak.
+_MW_ENDS = [
+    (1e-06, 0.0, 0.9999994227836792204),
+    (1e-06, 8.538907650590206, 1.957047721061017232e-4),
+    (1e-06, 610.6691306373269, 6.164800058905861397e-266),
+    (0.999, 0.01, 1.020862746648488279e-3),
+    (0.999, 0.5003855202667099, 3.992724816611427151e-3),
+    (0.999, 1.0003074003908434, 25.27472240643066728),
+    (0.999, 1.0004505878761525, 26.21369104526289441),
+    (0.999, 1.0123294052454164, 1.000536236545346331e-30),
+    (0.999, 1.0145634003457498, 1.000059480826459714e-300),
+]
+
+
+@pytest.mark.parametrize(
+    "alpha,z,expected,rtol",
+    [row + (1e-12,) for row in _MW_RELATIVE]
+    + [row + (1e-11,) for row in _MW_ENDS])
+def test_mw_relative_accuracy(alpha, z, expected, rtol):
+    assert m_wright(alpha, z) == pytest.approx(expected, rel=rtol, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-20])
+def test_mw_alpha_to_zero_is_exponential(alpha):
+    z = np.array([0.0, 0.5, 5.0, 30.0])
+    np.testing.assert_allclose(m_wright(alpha, z), np.exp(-z), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mw_far_tail_is_zero():
+    from fracdyn.subordination import OperationalClock, levy_density
+
+    assert m_wright(0.3, 1e300) == 0.0
+    assert levy_density(OperationalClock(0.3, 1.0), 1e300) == 0.0
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
 def test_mw_nonnegative(alpha):
     z = np.linspace(0.0, 30.0, 301)

@@ -292,6 +292,21 @@ class TestDephasingQ:
         with pytest.raises(DomainError):
             dephasing_Q(OHMIC, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_eta(self):
+        with pytest.raises(DomainError, match="eta = 1e\\+308"):
+            dephasing_Q(BathSpec(1e308, 1.0), [257.5])
+        with pytest.raises(DomainError, match="eta"):
+            dephasing_Q(BathSpec(1e308, 0.5), 257.5)
+
+    def test_underflow_is_positive_zero(self):
+        # Q >= 0: where it underflows (a sub-Ohmic bath at omega_c 1e-200),
+        # the zero carries no sign.
+        q = dephasing_Q(BathSpec(1.0, 0.5, 1e-200), [0.1, 1.0])
+        assert q.tolist() == [0.0, 0.0]
+        assert not np.signbit(q).any()
+        assert not np.signbit(dephasing_Q(BathSpec(1.0, 0.5, 1e-200), 0.1))
+
 
 KERNEL_CHIS = [0.05, 0.3, 0.5, 0.999, 1.0, 1.001, 1.5, 3.0]
 # Half-decade steps over t in [1e-5, 1e4]: Q spans ~1e-10 to ~1e4 here, so

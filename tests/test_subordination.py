@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from fracdyn import lindblad, subordination
+from fracdyn import lindblad, specfun, subordination
 from fracdyn.errors import (
     AccuracyError,
     DomainError,
@@ -32,8 +32,6 @@ from fracdyn.lindblad import (
 )
 from fracdyn.specfun import (
     FractionalOrder,
-    _mw_integral_batch,
-    _mw_series_batch,
     m_wright,
     mittag_leffler,
 )
@@ -104,18 +102,20 @@ class TestLevyDensity:
         with pytest.raises(DomainError):
             levy_density(c, -0.1)
 
-    # Upper end of z = u t^(-alpha): past the series/integral switch of
-    # M_alpha, below the point where the density underflows.
+    # Upper end of z = u t^(-alpha): past the switch of M_alpha from its
+    # fixed path to the path through the saddle s* = (alpha z)^(1/(1-alpha))
+    # at s* = 1/2, below the point where the density underflows.
     @pytest.mark.parametrize("alpha,z_max", [(0.3, 20.0), (0.5, 15.0),
                                              (0.8, 5.0)])
     def test_batch_matches_pointwise_m_wright(self, alpha, z_max):
         t = 2.0
         c = OperationalClock(F(alpha), t)
         scale = t ** (-alpha)
-        # 301 nodes: two full batches of 128 and a short one.
+        # 301 nodes: more than two chunks of 128 on the saddle path.
         u = np.linspace(0.0, z_max, 301) / scale
-        _, series = _mw_series_batch(alpha, u * scale)
-        assert series.any() and not series.all()
+        s_star = (alpha * u * scale) ** (1.0 / (1.0 - alpha))
+        saddle = s_star >= specfun._MW_S_MIN
+        assert saddle.any() and not saddle.all()
         ref = np.array([scale * m_wright(alpha, x * scale) for x in u])
         assert np.all(ref > 0.0)
 
@@ -367,11 +367,6 @@ def _u_space_reference(M, a, t, spectral):
     raise AssertionError("u-space reference did not converge")
 
 
-def _smooth_m_wright(a, z):
-    """M_alpha from the Zolotarev integral alone: smooth in z to rounding."""
-    return _mw_integral_batch(a, np.asarray(z, dtype=float))
-
-
 class TestOperationalTimeRule:
     """One M-Wright rule per (alpha, level) in x = u t^(-alpha), shared by
     every t."""
@@ -392,13 +387,8 @@ class TestOperationalTimeRule:
                     - _u_space_reference(M, alpha, t, spectral)))
                 for t in (1e-3, 0.5, 5.0, 50.0))
 
-        # The two rules place their nodes an ulp apart, and the M-Wright
-        # series moves by up to 2.4e-10 when its argument moves by one ulp
-        # (alpha = 0.95, z = 1.35): the maps differ by up to 3e-12.
-        assert worst() <= 1e-11
-        # On a density that is smooth to rounding, only the rule is left.
-        monkeypatch.setattr(subordination, "m_wright", _smooth_m_wright)
-        subordination._clock_rule.cache_clear()
+        # The two rules place their nodes an ulp apart; M_alpha is smooth to
+        # rounding, so only the rule is left.
         assert worst() <= 1e-14
 
     def test_one_rule_per_level_for_every_t(self, monkeypatch):
