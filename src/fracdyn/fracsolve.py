@@ -419,27 +419,21 @@ def _implicit_blocks(M, u0, p0, oldest, lags, n_steps, modes=None):
     return u
 
 
-def _dense_implicit_core(M, u0, pref, vr, oldest, n_steps):
-    # StandardDFF: (I - pref v_0 M) u_{n+1} = u0 + pref * history.
-    return _implicit_blocks(M, u0, pref * vr[-1], pref * oldest,
-                            pref * vr[::-1], n_steps)
-
-
-def _dense_explicit_core(M, u0, pref, vr, oldest, br, n_steps):
+def _dense_explicit_core(M, u0, pref, v, oldest, b, n_steps):
     # PaperPrinted: predict p_{n+1} = u0 + sum_{j=0..n} pref b_{n-j} g_j, then
     # correct u_{n+1} = u0 + pref (oldest_n g_0 + sum_{j=1..n} v_{n+1-j} g_j)
     # + pm p_{n+1} with pm = pref v_0 M.  The u0 and g_0 terms are fixed per
     # step, and g_j (j >= 1) is weighted by pref v_l + pref b_{l-1} pm at lag
     # l = n + 1 - j.
     mr = _real_form(M)
-    pm = (pref * vr[-1]) * mr
+    pm = (pref * v[0]) * mr
     uf0, g0 = u0.view(np.float64), (M @ u0).view(np.float64)
-    b = pref * br[::-1]
+    b = pref * b
     u = np.empty((n_steps + 1, 2 * len(u0)))
     u[0] = uf0
     u[1:] = (uf0 + pm.dot(uf0) + (pref * oldest)[:, None] * g0
              + b[:-1, None] * pm.dot(g0))
-    _dense_blocks(mr, u, (pref * vr[::-1], np.concatenate(([0.0], b[:-1]))),
+    _dense_blocks(mr, u, (pref * v, np.concatenate(([0.0], b[:-1]))),
                   pm, n_steps)
     return u.view(np.complex128)
 
@@ -564,15 +558,16 @@ def fam_solve(
     M, u0 = _flow_operator(gen, init)
 
     v, oldest = _history_weights(scheme, a, n_steps)
-    # The cores take the weights oldest lag first: vr[j] = v_{n_steps - j}.
-    vr, oldest = v[::-1], oldest[:-1]
+    oldest = oldest[:-1]
     if scheme is WeightScheme.StandardDFF:
+        # (I - pref v_0 M) u_{n+1} = u0 + pref * history.
         pref = h**a / math.gamma(a + 2.0)
-        u = _dense_implicit_core(M, u0, pref, vr, oldest, n_steps)
+        u = _implicit_blocks(M, u0, pref * v[0], pref * oldest, pref * v,
+                             n_steps)
     else:
         pref = h**a / math.gamma(1.0 + a)
         b = predictor_weights(scheme, a, n_steps)
-        u = _dense_explicit_core(M, u0, pref, vr, oldest, b[::-1], n_steps)
+        u = _dense_explicit_core(M, u0, pref, v, oldest, b, n_steps)
     return _trajectory(u, order, h, scheme, init)
 
 

@@ -380,10 +380,15 @@ def _matrix_to_pairs(m: np.ndarray) -> List[List[float]]:
 
 def _pairs_to_matrix(pairs: Sequence[Sequence[float]], dim: int,
                      name: str) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape != (dim * dim, 2):
+    try:
+        arr = np.asarray(pairs)
+        ok = arr.dtype.kind in "iuf" and arr.shape == (dim * dim, 2)
+    except ValueError:  # ragged nesting
+        ok = False
+    if not ok:
         raise ValidationError(
-            f"{name} must be a flat row-major list of {dim * dim} [re, im] pairs"
+            f"{name} must be a flat row-major list of {dim * dim} [re, im] "
+            f"pairs of numbers"
         )
     return (arr[:, 0] + 1.0j * arr[:, 1]).reshape(dim, dim)
 
@@ -417,7 +422,7 @@ def generator_from_json(data: dict) -> GKSLGenerator:
         dim = _count(data["dim"], "dim", 1)
         ham = _pairs_to_matrix(data["hamiltonian"], dim, "hamiltonian")
         channels = tuple(
-            (_pairs_to_matrix(ch["jump"], dim, "jump"), float(ch["rate"]))
+            (_pairs_to_matrix(ch["jump"], dim, "jump"), ch["rate"])
             for ch in data.get("channels", [])
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -19,7 +19,10 @@ of Garrappa (SIAM J. Numer. Anal. 53 (2015) 1350) for a 1e-15 target.  The
 one pole on the principal sheet, ``s* = z^(1/alpha)`` for
 ``|arg z| <= alpha pi``, adds its residue ``e^{s*} / alpha`` when it lies
 right of the contour.  Every ``z`` without a pole, the negative axis
-included, shares one 55-node contour; a pole needs at most 361 nodes.
+included, shares one 55-node contour.  A pole takes the shorter of two
+contours: Garrappa's between the origin and the pole, or, for ``phi(s*)``
+up to 0.27, the shared contour's vertex ``mu`` with the step and length
+that keep it right of the pole; at most 327 nodes.
 
 Which argument takes which path:
 
@@ -125,8 +128,13 @@ _LOG_EPS = math.log(np.finfo(float).eps)
 _MU_MAX = _LOG_TOL - _LOG_EPS
 # A pole with phi(s*) at or below this sits on the branch cut and is ignored.
 _PHI_MIN = 1e-15
+# Right of a pole at phi, the capped contour is sized for the parabola
+# through phi_bar = (_POLE_GAP + sqrt(phi))^2: Garrappa's unbounded-region
+# search (p = 1) gives a gap sqrt(mu)/5 in [0.48, 0.57] wherever that
+# region is the shorter, and a mu above _MU_MAX, which the cap replaces.
+_POLE_GAP = 0.5
 # Rows per complex contour product: bounds the rows x nodes temporaries
-# (about 3 MB at the longest pole contour, 361 nodes).  The real-axis fold
+# (about 2.7 MB at the longest pole contour, 327 nodes).  The real-axis fold
 # bounds its two rows x 28 float temporaries by bytes instead: 128 KiB each
 # (585 rows) stays in cache and ran fastest of 4 KiB to 8 MiB.
 _ML_CHUNK = 512
@@ -155,37 +163,6 @@ def _contour_left_of_pole(phi):
     mu = (sq_bar / (2.0 + w)) ** 2
     h = -2.0 * math.pi / log_tol
     return mu, h, np.ceil(np.sqrt(1.0 - log_tol / mu) / h)
-
-
-def _contour_right_of_pole(phi):
-    """Garrappa's unbounded region (p = 1): right of the pole.
-
-    Admissible only for ``phi < _MU_MAX``; the caller checks that.
-    """
-    sq_phi = np.sqrt(phi)
-    phi_bar = 1.01 * phi
-    for _ in range(8):  # settles at the second pass for every phi
-        lt = _LOG_TOL / phi_bar
-        n = np.ceil(phi_bar / math.pi
-                    * (1.0 - 1.5 * lt + np.sqrt(1.0 - 2.0 * lt)))
-        big_a = math.pi * n / phi_bar
-        sq_mu = (np.sqrt(phi_bar) * np.abs(4.0 - big_a)
-                 / np.abs(7.0 - np.sqrt(1.0 + 12.0 * big_a)))
-        f = sq_mu / (np.sqrt(phi_bar) - sq_phi)
-        redo = (f <= 1.0) | (f >= 10.0)
-        if not np.any(redo):
-            break
-        phi_bar = np.where(redo, (sq_mu / 5.0 + sq_phi) ** 2, phi_bar)
-    mu = sq_mu**2
-    h = ((2.0 * np.sqrt(1.0 + 12.0 * big_a) - 3.0 * big_a - 2.0)
-         / (4.0 - big_a) / n)
-    # Cap the vertex for roundoff, keeping the contour right of the pole.
-    phi_bar = (sq_mu / 5.0 + sq_phi) ** 2
-    mu_c, h_c, n_c = _capped_contour(phi_bar)
-    n_c = np.where(phi_bar < _MU_MAX, n_c, math.inf)
-    big = mu > _MU_MAX
-    return (np.where(big, mu_c, mu), np.where(big, h_c, h),
-            np.where(big, n_c, n))
 
 
 def _contour(a: float, mu, h, n: int):
@@ -300,8 +277,9 @@ def _ml_contour(a: float, z: np.ndarray) -> np.ndarray:
     if rows.size:
         phi = phi[rows]
         mu_l, h_l, n_l = _contour_left_of_pole(phi)
-        mu_r, h_r, n_r = _contour_right_of_pole(phi)
-        n_r = np.where(phi < _MU_MAX, n_r, math.inf)
+        phi_bar = (_POLE_GAP + np.sqrt(phi)) ** 2
+        mu_r, h_r, n_r = _capped_contour(phi_bar)
+        n_r = np.where(phi_bar < _MU_MAX, n_r, math.inf)
         left = n_l <= n_r
         mu, h, n = (np.where(left, mu_l, mu_r), np.where(left, h_l, h_r),
                     np.where(left, n_l, n_r))

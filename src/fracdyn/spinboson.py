@@ -216,9 +216,20 @@ def bath_correlation(bath: BathSpec, t) -> Union[float, np.ndarray]:
         C = (2/pi) eta Gamma(chi+1) omega_c^2 Re (1 - i omega_c t)^(-(chi+1));
     finite beta adds the same series over rho_n as :func:`dephasing_Q`,
     with weights 2 rho_n^(-(chi+1)).  The absolute error is ~1e-15 |C(0)|.
+    A C beyond float64 range (eta omega_c^2 too large) is a
+    :class:`DomainError`.
     """
-    return _on_times(bath, t, "bath_correlation", -(bath.chi + 1.0),
-                     _c_order, (2.0 / math.pi) * bath.eta * bath.omega_c ** 2)
+    try:
+        amp = (2.0 / math.pi) * bath.eta * bath.omega_c ** 2
+    except OverflowError:  # omega_c^2 beyond float64: refused below
+        amp = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _on_times(bath, t, "bath_correlation", -(bath.chi + 1.0),
+                      _c_order, amp)
+    if not np.all(np.isfinite(c)):
+        raise DomainError(f"bath_correlation: omega_c = {bath.omega_c:g} "
+                          f"overflows C at eta = {bath.eta:g}")
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -770,6 +770,30 @@ class TestSolve:
                "alpha": 0.6}
         assert run(tmp_path, doc)[0] == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("rate", True), ("rate", "0.5"), ("hamiltonian", ["0.5", "0"])])
+    def test_non_number_generator_json_exits_2(self, tmp_path, capsys,
+                                                field, value):
+        gen = json.loads(json.dumps(DEPHASING_GEN))
+        if field == "rate":
+            gen["channels"][0]["rate"] = value
+        else:
+            gen["hamiltonian"][0] = value
+        doc = {"command": "solve", "generator": gen,
+               "alpha": 0.6, "h": 0.05, "n_steps": 5}
+        code, out = run(tmp_path, doc)
+        assert code == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ragged_init_exits_2(self, tmp_path, capsys):
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.6, "h": 0.05, "n_steps": 5,
+               "init": {"dim": 2, "entries": [[0.5, 0.0], [0.0],
+                                              [0.0, 0.0], [0.5, 0.0]]}}
+        assert run(tmp_path, doc)[0] == 2
+        assert "entries" in capsys.readouterr().err
+
     def test_dim3_requires_init(self, tmp_path):
         gen3 = {"dim": 3,
                 "hamiltonian": [[0.0, 0.0]] * 9,

@@ -43,38 +43,37 @@ SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 # Element-by-element reference loops for the solver cores, with the cores'
-# (M, u0, ...) signatures.  They solve each step's linear system afresh and
+# (M, u0, ...) signatures and their weights in lag order.  They solve each step's linear system afresh and
 # sum in another order; results must agree to rounding.
 
-def _loop_dense_implicit(M, u0, pref, vr, oldest, n_steps):
-    left = np.eye(len(u0)) - pref * M
+def _loop_implicit_blocks(M, u0, p0, oldest, lags, n_steps, modes=None):
+    assert modes is None  # the SOE core has its own reference loop
+    left = np.eye(len(u0)) - p0 * M
     u = np.empty((n_steps + 1, len(u0)), dtype=complex)
     g = np.empty_like(u)
     u[0], g[0] = u0, M @ u0
-    big_n = len(vr) - 1
     for n in range(n_steps):
         acc = oldest[n] * g[0]
         for m in range(n):
-            acc = acc + vr[big_n - n + m] * g[1 + m]
-        u[n + 1] = np.linalg.solve(left, u0 + pref * acc)
+            acc = acc + lags[n - m] * g[1 + m]
+        u[n + 1] = np.linalg.solve(left, u0 + acc)
         g[n + 1] = M @ u[n + 1]
     return u
 
 
-def _loop_dense_explicit(M, u0, pref, vr, oldest, br, n_steps):
+def _loop_dense_explicit(M, u0, pref, v, oldest, b, n_steps):
     u = np.empty((n_steps + 1, len(u0)), dtype=complex)
     g = np.empty_like(u)
     u[0], g[0] = u0, M @ u0
-    big_n = len(vr) - 1
     for n in range(n_steps):
         pacc = np.zeros(len(u0), dtype=complex)
         for m in range(n + 1):
-            pacc = pacc + br[big_n - n + m] * g[m]
+            pacc = pacc + b[n - m] * g[m]
         g_pred = M @ (u0 + pref * pacc)
         acc = oldest[n] * g[0]
         for m in range(n):
-            acc = acc + vr[big_n - n + m] * g[1 + m]
-        u[n + 1] = u0 + pref * (acc + vr[big_n] * g_pred)
+            acc = acc + v[n - m] * g[1 + m]
+        u[n + 1] = u0 + pref * (acc + v[0] * g_pred)
         g[n + 1] = M @ u[n + 1]
     return u
 
@@ -109,8 +108,7 @@ def _fast_and_reference(monkeypatch, solve):
     """
     monkeypatch.setattr(fracsolve, "_trajectory", lambda u, *args: u)
     fast = solve()
-    monkeypatch.setattr(fracsolve, "_dense_implicit_core",
-                        _loop_dense_implicit)
+    monkeypatch.setattr(fracsolve, "_implicit_blocks", _loop_implicit_blocks)
     monkeypatch.setattr(fracsolve, "_dense_explicit_core",
                         _loop_dense_explicit)
     monkeypatch.setattr(fracsolve, "_soe_core", _loop_soe)
@@ -449,14 +447,14 @@ class TestMatrixSolve:
         assert first == 32
 
     def test_defects_above_warn_tolerance_warn_once(self, monkeypatch):
-        core = fracsolve._dense_implicit_core
+        core = fracsolve._implicit_blocks
 
         def skewed(*args):
             u = core(*args)
             u[[3, 5], 1] += 3e-6  # rho_01 only: a Hermiticity defect
             return u
 
-        monkeypatch.setattr(fracsolve, "_dense_implicit_core", skewed)
+        monkeypatch.setattr(fracsolve, "_implicit_blocks", skewed)
         with pytest.warns(RuntimeWarning) as record:
             tr = fam_solve(dephasing_qubit(0.0, 0.5), 0.5, 0.05, 20,
                            plus_state())

@@ -11,6 +11,7 @@ from fracdyn.errors import (
     ValidationError,
 )
 from fracdyn.lindblad import (
+    PAULI_X,
     PAULI_Z,
     DensityMatrix,
     GKSLGenerator,
@@ -317,3 +318,37 @@ def test_json_malformed_raises():
         density_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValidationError):
         generator_from_json({"dim": 2})
+
+
+@pytest.mark.parametrize("rate", [True, False, "0.5", None, [0.5]])
+def test_generator_json_rate_must_be_a_number(rate):
+    data = generator_to_json(dephasing_qubit(0.3, 0.2))
+    data["channels"][0]["rate"] = rate
+    with pytest.raises(ValidationError, match="rate"):
+        generator_from_json(data)
+
+
+_ZEROS = [[0.0, 0.0]] * 3
+
+
+@pytest.mark.parametrize("pairs", [[["0.5", "0"]] + _ZEROS,
+                                   [[0.5, "0"]] + _ZEROS,
+                                   [[True, False]] * 4,
+                                   [[None, 0.0]] + _ZEROS,
+                                   [[0.5]] + _ZEROS])
+def test_json_entries_must_be_number_pairs(pairs):
+    gen = generator_to_json(dephasing_qubit(0.3, 0.2))
+    channel = dict(gen["channels"][0], jump=pairs)
+    for doc in (dict(gen, hamiltonian=pairs), dict(gen, channels=[channel])):
+        with pytest.raises(ValidationError, match="pairs of numbers"):
+            generator_from_json(doc)
+    with pytest.raises(ValidationError, match="pairs of numbers"):
+        density_from_json({"dim": 2, "entries": pairs})
+
+
+def test_json_integer_entries_are_numbers():
+    gen = generator_from_json({
+        "dim": 2, "hamiltonian": [[0, 0], [1, 0], [1, 0], [0, 0]],
+        "channels": [{"jump": [[1, 0], [0, 0], [0, 0], [-1, 0]], "rate": 1}]})
+    assert np.array_equal(gen.hamiltonian, PAULI_X)
+    assert gen.channels[0][1] == 1.0

@@ -295,6 +295,41 @@ def test_ml_half_complex_closed_form():
                                rtol=1e-12, atol=1e-12)
 
 
+# Poled z = r e^(i c a pi), with phi = Re s* + |s*| over 2 = r cos^2(c pi/2)
+# (s* = z^(1/a)): just below and above the switch from the region right of
+# the pole to the region left of it (phi = 0.2735 and 0.2736), and right of
+# the pole at the edge of the pole sector (c = 0.99; r = 40 and 200, since
+# the series reference needs about r digits and r / a terms).
+_ML_POLE_TABLE = [(a, phi, c) for a in (0.5, 0.9, 0.99)
+                  for phi, c in ((0.2735, 0.0), (0.2736, 0.0), (0.2735, 0.9),
+                                 (0.2736, 0.9), (0.01, 0.99), (0.05, 0.99))]
+
+
+@pytest.mark.parametrize("alpha, phi, c", _ML_POLE_TABLE)
+def test_ml_pole_regions_against_mpmath(alpha, phi, c, ml_mpmath):
+    r = phi / math.cos(0.5 * math.pi * c) ** 2
+    z = r**alpha * complex(math.cos(c * alpha * math.pi),
+                           math.sin(c * alpha * math.pi))
+    assert mittag_leffler(alpha, z) == pytest.approx(ml_mpmath(alpha, z),
+                                                     rel=1e-13)
+
+
+def test_ml_pole_contour_length(monkeypatch):
+    # The longest pole contour, 327 nodes, is at the region switch.  Real
+    # z = phi^a > 0 puts the pole at s* = phi.
+    built = []
+
+    def contour(a, mu, h, n):
+        built.append(2 * n + 1)
+        return _contour(a, mu, h, n)
+
+    _contour = specfun._contour
+    monkeypatch.setattr(specfun, "_contour", contour)
+    for alpha in (0.5, 0.9):
+        mittag_leffler(alpha, np.logspace(-15, 4, 2000) ** alpha)
+    assert max(built) <= 327
+
+
 def test_ml_array_contract():
     assert type(mittag_leffler(0.6, -1.5)) is float
     assert type(mittag_leffler(0.6, np.float64(-1.5))) is float

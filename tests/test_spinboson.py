@@ -525,6 +525,16 @@ class TestBathCorrelation:
         with pytest.raises(DomainError, match="bath_correlation"):
             bath_correlation(bath, np.array([1.0, math.nan]))
 
+    def test_overflow_names_omega_c(self):
+        # omega_c^2 alone overflows the prefactor, or eta omega_c^2 overflows
+        # C; a C that fits comes out.
+        with pytest.raises(DomainError, match="omega_c = 1e\\+200"):
+            bath_correlation(BathSpec(1.0, 1.0, 1e200), [0.0, 1.0])
+        with pytest.raises(DomainError, match="omega_c = 10 .*eta = 1e\\+308"):
+            bath_correlation(BathSpec(1e308, 1.0, 10.0), 0.0)
+        c = bath_correlation(BathSpec(1e-300, 1.0, 1e150), [0.0, 1.0])
+        assert c[0] == pytest.approx(2.0 / math.pi, rel=1e-14)
+
 
 # ---------------------------------------------------------------------------
 # Asymptotic forms (literal constants)
