@@ -6,9 +6,17 @@ set -euo pipefail
 cd "$(dirname "$0")"
 mkdir -p output
 
+# A source checkout without an install runs the package from ../src.
+if command -v fracdyn >/dev/null 2>&1; then
+    fracdyn=(fracdyn)
+else
+    export PYTHONPATH="$(cd ../src && pwd)${PYTHONPATH:+:$PYTHONPATH}"
+    fracdyn=(python3 -m fracdyn.cli)
+fi
+
 run() {
     echo "== fracdyn $1 --config configs/$2.json"
-    fracdyn "$1" --config "configs/$2.json" --out "output/$2.csv" "${@:3}"
+    "${fracdyn[@]}" "$1" --config "configs/$2.json" --out "output/$2.csv" "${@:3}"
 }
 
 run exact exact_short_time

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -246,9 +246,9 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
     that column's text (re rho_ji is re rho_ij in a Hermitian trajectory,
     |u| is re u at epsilon = 0), and one whose cells share one bit pattern
     is formatted once (im rho_ii is 0.0).  Comparing bits keeps 0.0 and
-    -0.0 apart.  The commands' cells are numbers or ``''``, none of which
-    CSV quotes, so the rows are joined as they are: the bytes are those of
-    ``csv.writer(fh, lineterminator="\n")``.
+    -0.0 apart.  The commands' cells are numbers or ``''``, which CSV
+    quotes only in a row that is one empty cell, so the rows are joined as
+    they are: the bytes are those of ``csv.writer(fh, lineterminator="\n")``.
     """
     if isinstance(rows, np.ndarray):
         table = np.ascontiguousarray(rows.T, dtype=np.float64)
@@ -263,6 +263,10 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
         rows = zip(*cells)
     else:
         rows = (map(str, row) for row in rows)
+    lines = map(",".join, rows)
+    if len(columns) == 1:
+        lines = (line or '""' for line in lines)
+    body = "\n".join(lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_digest: {digest}\n")
         fh.write(f"# artifact: fracdyn {__version__}\n")
@@ -270,7 +274,9 @@ def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
             fh.write(f"# {comment}\n")
         fh.write(f"# columns: {','.join(columns)}\n")
         fh.write(",".join(columns) + "\n")
-        fh.write("".join(",".join(row) + "\n" for row in rows))
+        if body:
+            fh.write(body)
+            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +498,10 @@ commands:
 """
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="fracdyn",
         description="Fractional open-quantum-dynamics reproduction runner.",

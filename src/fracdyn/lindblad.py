@@ -78,10 +78,20 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="C")
 
 
+def _holds_bool(m) -> bool:
+    """Whether ``m`` holds a bool at any depth of its lists and tuples,
+    where numpy would turn it into a number; an ndarray tells by its dtype."""
+    if isinstance(m, np.ndarray):
+        return m.dtype.kind == "b"
+    if isinstance(m, (list, tuple)):
+        return any(map(_holds_bool, m))
+    return isinstance(m, (bool, np.bool_))
+
+
 def _as_square_complex(m, name: str) -> np.ndarray:
     arr = np.asarray(m)
     if arr.dtype.kind not in "iufc" or arr.ndim != 2 \
-            or arr.shape[0] != arr.shape[1]:
+            or arr.shape[0] != arr.shape[1] or _holds_bool(m):
         raise ValidationError(f"{name} must be a square matrix of numbers")
     arr = np.asarray(arr, dtype=complex)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
@@ -96,19 +106,39 @@ def _density_defects(
 
     ``entries`` has shape (..., d, d); each defect is an array over the
     leading axes (0-d for one matrix).  A matrix with a non-finite entry has
-    all three defects inf.
+    all three defects inf.  A matrix whose Hermitian part Gershgorin's bound
+    shows to be positive semidefinite has negative-eigenvalue defect 0
+    without an eigensolve; only the others take ``eigvalsh``.
     """
-    finite = np.all(np.isfinite(entries), axis=(-2, -1))
-    if not np.all(finite):
+    return _defects_and_hermitian_part(entries)[0]
+
+
+def _defects_and_hermitian_part(
+    entries: np.ndarray,
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """(:func:`_density_defects` of ``entries``, their Hermitian parts)."""
+    if not np.all(np.isfinite(entries)):
         # eigvalsh rejects non-finite input: check a zero stand-in instead.
+        finite = np.all(np.isfinite(entries), axis=(-2, -1))
         stand_in = np.where(finite[..., None, None], entries, 0.0)
-        return tuple(np.where(finite, x, np.inf)
-                     for x in _density_defects(stand_in))
+        defects, sym = _defects_and_hermitian_part(stand_in)
+        return tuple(np.where(finite, x, np.inf) for x in defects), sym
     adj = np.conj(np.swapaxes(entries, -1, -2))
     herm = np.max(np.abs(entries - adj), axis=(-2, -1))
     trace = np.abs(np.trace(entries, axis1=-2, axis2=-1) - 1.0)
-    neg = np.maximum(0.0, -np.linalg.eigvalsh(0.5 * (entries + adj))[..., 0])
-    return herm, trace, neg
+    sym = 0.5 * (entries + adj)
+    # Every eigenvalue of sym is at least min_i (a_ii - sum_{j != i} |a_ij|)
+    # (Gershgorin); where no a_ii falls below its radius, none is negative.
+    diag = np.diagonal(sym, axis1=-2, axis2=-1).real
+    radius = np.einsum("...ij->...i", np.abs(sym)) - np.abs(diag)
+    # OR the d columns together: numpy reduces a short last axis slowly.
+    open_ = np.logical_or.reduce(list(np.moveaxis(diag < radius, -1, 0)))
+    neg = np.zeros(open_.shape)
+    if np.any(open_):
+        # Gathering every matrix would only copy the stack.
+        part = sym if np.all(open_) else sym[open_]
+        neg[open_] = np.maximum(0.0, -np.linalg.eigvalsh(part)[..., 0])
+    return (herm, trace, neg), sym
 
 
 @dataclass(frozen=True)
@@ -171,7 +201,8 @@ def _check_flow(stack: np.ndarray, what: str, fail_tol: float,
     times, and the messages name the step.  ``stacklevel`` is the one the
     caller would pass to :func:`warnings.warn`.
     """
-    worst = np.max(_density_defects(stack), axis=0)
+    defects, sym = _defects_and_hermitian_part(stack)
+    worst = np.max(defects, axis=0)
 
     def where(k):
         return "" if times is None else f" at step {k + 1} (t = {times[k]:g})"
@@ -188,7 +219,6 @@ def _check_flow(stack: np.ndarray, what: str, fail_tol: float,
         warnings.warn(
             f"{what} defect {worst[k]:g}{where(k)} above {warn_tol:g}{count}",
             RuntimeWarning, stacklevel=stacklevel + 1)
-    sym = 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2)))
     sym.setflags(write=False)
     return sym
 
@@ -265,19 +295,25 @@ class Superoperator:
         return float(np.max(np.abs(iv @ self.matrix))) / scale
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` of two d x d matrices, as one broadcast product."""
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def build_superoperator(gen: GKSLGenerator) -> Superoperator:
     """Assemble the d^2 x d^2 matrix of the GKSL generator (row-major vec)."""
     d = gen.dim
     eye = np.eye(d, dtype=complex)
     H = gen.hamiltonian
-    M = -1.0j * (np.kron(H, eye) - np.kron(eye, H.T))
+    M = -1.0j * (_kron(H, eye) - _kron(eye, H.T))
     for L, rate in gen.channels:
         if rate == 0.0:
             continue
         LdL = L.conj().T @ L
         M = M + rate * (
-            np.kron(L, L.conj())
-            - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
+            _kron(L, L.conj())
+            - 0.5 * (_kron(LdL, eye) + _kron(eye, LdL.T))
         )
     return Superoperator(d, M)
 
@@ -382,7 +418,8 @@ def _pairs_to_matrix(pairs: Sequence[Sequence[float]], dim: int,
                      name: str) -> np.ndarray:
     try:
         arr = np.asarray(pairs)
-        ok = arr.dtype.kind in "iuf" and arr.shape == (dim * dim, 2)
+        ok = arr.dtype.kind in "iuf" and arr.shape == (dim * dim, 2) \
+            and not _holds_bool(pairs)
     except ValueError:  # ragged nesting
         ok = False
     if not ok:

@@ -397,6 +397,37 @@ class TestParser:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_successive_calls_with_different_commands(self, tmp_path):
+        # One parser serves every call of the process.
+        exact = tmp_path / "exact.csv"
+        assert main(["exact", "--config", write_config(tmp_path, EXACT_DOC),
+                     "--out", str(exact)]) == 0
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.6, "h": 0.05, "n_steps": 5}
+        cfg = write_config(tmp_path, doc, name="solve.json")
+        solve = tmp_path / "solve.csv"
+        assert main(["solve", "--config", cfg, "--out", str(solve)]) == 0
+        assert main(["exact", "--config", cfg, "--out",
+                     str(tmp_path / "mismatch.csv")]) == 2
+        assert read_csv(exact)[1][0] == "t"
+        assert len(read_csv(solve)[2]) == 6
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_good_parse_after_a_failing_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--config", "c.json", "--threads", "two"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fracdyn ")
+        assert "invalid int value: 'two'" in err
+        out = tmp_path / "out.csv"
+        assert main(["exact", "--config", write_config(tmp_path, EXACT_DOC),
+                     "--out", str(out)]) == 0
+        assert out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main(["exact", "--config", "c.json", "--threads", "two"])
+        assert capsys.readouterr().err == err
+
 
 class TestExact:
     def test_short_time_columns(self, tmp_path):
@@ -771,7 +802,8 @@ class TestSolve:
         assert run(tmp_path, doc)[0] == 2
 
     @pytest.mark.parametrize("field, value", [
-        ("rate", True), ("rate", "0.5"), ("hamiltonian", ["0.5", "0"])])
+        ("rate", True), ("rate", "0.5"), ("hamiltonian", ["0.5", "0"]),
+        ("hamiltonian", [True, 0.0])])
     def test_non_number_generator_json_exits_2(self, tmp_path, capsys,
                                                 field, value):
         gen = json.loads(json.dumps(DEPHASING_GEN))
@@ -831,6 +863,22 @@ class TestSolve:
         assert code == 0
         assert len(checked) == 1
         assert len(read_csv(out)[2]) == 201
+
+    def test_soe_demo_admits_its_states_without_an_eigensolve(
+            self, tmp_path, monkeypatch):
+        # Every state of the demo trajectory is certified positive
+        # semidefinite by its Gershgorin bound.
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: solved.append(np.shape(a))
+                            or eigvalsh(a))
+        out = tmp_path / "soe.csv"
+        assert main(["solve", "--config",
+                     str(DEMOS / "configs" / "solver_soe_trajectory.json"),
+                     "--out", str(out)]) == 0
+        assert len(read_csv(out)[2]) == 5001
+        assert solved == []
 
 
 # The CSV cell text before the array emitter: str for strings, digits for
@@ -939,6 +987,24 @@ class TestCsvCells:
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(table.tolist())
+        assert body == want.getvalue()
+
+    @pytest.mark.parametrize("columns, rows", [
+        (["a", "b"], []),
+        (["a"], [[""]]),
+        (["a"], [[""], [0.5], [""]]),
+        (["a", "b"], [["", ""], ["", 1]]),
+    ], ids=["no-rows", "one-empty-cell", "empty-cells", "empty-pairs"])
+    def test_empty_cells_give_csv_writer_bytes(self, tmp_path, columns,
+                                               rows):
+        path = tmp_path / "table.csv"
+        cli._emit_csv(path, "abc", columns, rows)
+        body = "".join(line for line in path.read_text().splitlines(True)
+                       if not line.startswith("#"))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
         assert body == want.getvalue()
 
     def test_trajectory_cells_parse_back_exactly(self, tmp_path):

@@ -17,6 +17,7 @@ from fracdyn.lindblad import (
     GKSLGenerator,
     Superoperator,
     _admit_flow,
+    _check_flow,
     _density_defects,
     build_superoperator,
     cptp_diagnostics,
@@ -85,6 +86,110 @@ def test_density_defects_of_a_stack():
     assert [float(x) for x in one] == [herm[1], trace[1], neg[1]]
 
 
+def _reference_defects(stack):
+    """The defects with an eigensolve of every matrix."""
+    adj = np.conj(np.swapaxes(stack, -1, -2))
+    herm = np.max(np.abs(stack - adj), axis=(-2, -1))
+    trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)
+    neg = np.maximum(0.0, -np.linalg.eigvalsh(0.5 * (stack + adj))[..., 0])
+    return herm, trace, neg
+
+
+def _gershgorin_bound(m):
+    """min_i (a_ii - sum_{j != i} |a_ij|) of m's Hermitian part."""
+    sym = 0.5 * (m + m.conj().T)
+    d = len(m)
+    return min(sym[i, i].real - sum(abs(sym[i, j]) for j in range(d) if j != i)
+               for i in range(d))
+
+
+def _random_stack(rng, d, k):
+    """Unit-trace matrices of four kinds: diagonally dominant states,
+    pure states, Hermitian matrices with a negative eigenvalue, and
+    slightly non-Hermitian mixtures of these."""
+    out = []
+    for i in range(k):
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        kind = i % 4
+        if kind == 0:
+            p = rng.uniform(0.0, 0.3)
+            m = (1 - p) * np.eye(d) / d + p * (z @ z.conj().T) / np.trace(
+                z @ z.conj().T).real
+        elif kind == 1:
+            psi = z[:, 0] / np.linalg.norm(z[:, 0])
+            m = np.outer(psi, psi.conj())
+        elif kind == 2:
+            h = z + z.conj().T
+            m = (h - (np.trace(h).real - 1.0) * np.eye(d) / d)
+        else:
+            m = np.eye(d) / d + 1e-13 * z
+        out.append(m)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_density_defects_against_an_eigensolve_of_each(d, monkeypatch):
+    # herm and trace are the reference's; neg is the reference's wherever
+    # Gershgorin's bound is negative, and 0 where it certifies the state
+    # (the reference then reads roundoff at most).
+    rng = np.random.default_rng(100 + d)
+    stack = _random_stack(rng, d, 64)
+    stack[7, 0, 1] = np.nan
+    stack[9, 1, 1] = np.inf
+    finite = np.all(np.isfinite(stack), axis=(-2, -1))
+    ref = _reference_defects(np.where(finite[:, None, None], stack, 0.0))
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(
+        len(a)) or eigvalsh(a))
+    herm, trace, neg = _density_defects(stack)
+    monkeypatch.undo()
+    certified = np.array([finite[k] and _gershgorin_bound(m) >= 0.0
+                          for k, m in enumerate(stack)])
+    open_ = finite & ~certified
+    assert 0 < certified.sum() and 0 < open_.sum()
+    assert sum(solved) == open_.sum()
+    for got, want in zip((herm, trace), ref):
+        assert np.array_equal(got[finite], want[finite])
+    assert np.all(np.isinf([herm[~finite], trace[~finite], neg[~finite]]))
+    assert np.array_equal(neg[open_], ref[2][open_])
+    assert np.all(neg[certified] == 0.0)
+    assert np.all(ref[2][certified] <= 1e-15)
+    assert np.any(neg[open_] > 1e-3)  # the non-PSD kind reaches eigvalsh
+    for k in (0, 1, 2, 7):  # one matrix gives the stack's values
+        assert [float(x) for x in _density_defects(stack[k])] == [
+            herm[k], trace[k], neg[k]]
+
+
+def _state_with_min_eig(e, angle=0.3):
+    """A rotated diag(1 - e, e): unit trace, smallest eigenvalue e."""
+    c, s = math.cos(angle), math.sin(angle)
+    u = np.array([[c, -s], [s, c]], dtype=complex)
+    return u @ np.diag([1.0 - e, e]) @ u.T
+
+
+def test_check_flow_reports_the_first_negative_state():
+    # Certified states, then states left to eigvalsh: the failure and the
+    # warning name the same step and value as an eigensolve of each.
+    mixed = np.eye(2, dtype=complex) / 2
+    stack = np.array([mixed] * 4 + [_state_with_min_eig(-1e-8)]
+                     + [mixed] * 2 + [_state_with_min_eig(-1e-6)]
+                     + [_state_with_min_eig(0.2)])
+    times = 0.5 * np.arange(1, len(stack) + 1)
+    worst = np.max(_reference_defects(stack), axis=0)
+    with pytest.raises(NumericalInstabilityError) as exc:
+        _check_flow(stack, "state", 1e-7, 1e-9, times=times)
+    assert str(exc.value) == (f"state defect {worst[7]:g} at step 8 "
+                              f"(t = {times[7]:g}) exceeds 1e-07")
+    with pytest.warns(RuntimeWarning) as record:
+        sym = _check_flow(stack, "state", 1e-5, 1e-9, times=times)
+    assert [str(w.message) for w in record] == [
+        f"state defect {worst[4]:g} at step 5 (t = {times[4]:g}) above "
+        f"1e-09 (2 steps above it)"]
+    assert np.array_equal(
+        sym, 0.5 * (stack + np.conj(np.swapaxes(stack, -1, -2))))
+
+
 def test_admitted_states_are_read_only_hermitian_parts():
     stack = np.array([[[0.5, 0.3], [0.1, 0.5]], np.eye(2) / 2], dtype=complex)
     states = _admit_flow(stack, "state", 1.0, 1e-3)
@@ -94,6 +199,28 @@ def test_admitted_states_are_read_only_hermitian_parts():
     assert states[1].psd_tol == states[1].trace_tol == 1e-3
     with pytest.raises(ValueError):
         states[1].entries[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("m", [
+    [[True, 0.0], [0.0, 0.0]],
+    [[1.0, 0.0], [0.0, np.False_]],
+    ([0.5, 0.5], (0.5, True)),
+    [np.array([True, False]), np.array([0.0, 0.0])],
+    np.eye(2, dtype=bool),
+], ids=["bool", "numpy-bool", "tuple", "bool-row", "bool-array"])
+def test_bool_entries_are_not_numbers(m):
+    # numpy turns a bool mixed with numbers into 1.0 or 0.0.
+    with pytest.raises(ValidationError, match="square matrix of numbers"):
+        DensityMatrix(m)
+    with pytest.raises(ValidationError, match="square matrix of numbers"):
+        GKSLGenerator(m)
+    with pytest.raises(ValidationError, match="square matrix of numbers"):
+        GKSLGenerator(np.zeros((2, 2)), ((m, 0.5),))
+
+
+def test_integer_entries_are_numbers():
+    assert np.array_equal(DensityMatrix([[1, 0], [0, 0]]).entries,
+                          np.diag([1.0, 0.0]))
 
 
 def test_generator_rejects_non_hermitian_hamiltonian():
@@ -156,6 +283,33 @@ def test_dephasing_coherence_ode_convention():
     out = unvec(sup.matrix @ vec(e10), 2)
     assert out[1, 0] == pytest.approx(1j * eps - 2 * gamma, abs=1e-14)
     assert abs(out[0, 0]) + abs(out[1, 1]) + abs(out[0, 1]) <= 1e-14
+
+
+def _kron_superoperator(gen):
+    """The GKSL matrix assembled with np.kron."""
+    d = gen.dim
+    eye = np.eye(d, dtype=complex)
+    H = gen.hamiltonian
+    M = -1.0j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for L, rate in gen.channels:
+        if rate == 0.0:
+            continue
+        LdL = L.conj().T @ L
+        M = M + rate * (np.kron(L, L.conj())
+                        - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T)))
+    return M
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_superoperator_equals_the_kron_assembly(d):
+    rng = np.random.default_rng(40 + d)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    channels = tuple(
+        (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rate)
+        for rate in (0.3, 0.0, 1.7))
+    gen = GKSLGenerator(z + z.conj().T, channels)
+    assert np.array_equal(build_superoperator(gen).matrix,
+                          _kron_superoperator(gen))
 
 
 def test_zero_generator_gives_zero_matrix():
@@ -335,7 +489,8 @@ _ZEROS = [[0.0, 0.0]] * 3
                                    [[0.5, "0"]] + _ZEROS,
                                    [[True, False]] * 4,
                                    [[None, 0.0]] + _ZEROS,
-                                   [[0.5]] + _ZEROS])
+                                   [[0.5]] + _ZEROS,
+                                   [[True, 0.0]] + _ZEROS])
 def test_json_entries_must_be_number_pairs(pairs):
     gen = generator_to_json(dephasing_qubit(0.3, 0.2))
     channel = dict(gen["channels"][0], jump=pairs)
