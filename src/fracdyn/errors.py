@@ -12,11 +12,11 @@ minimum and at most the largest array size, an int or an integral float
 but not a bool, and is never truncated.  A time, rate or step is a finite
 float >= 0 (or > 0), a detuning ``epsilon`` a finite float of either sign,
 a plateau a float in [0, 1); each is a real number (numpy real scalars and
-0-d arrays too), never None, a str or a bool.  A point argument (``z``,
-``t``, ``u``, ``omega``) is a scalar or an array of any shape whose points
-are all numbers, finite and at or above the function's bound; a DomainError
-names the first point that is not, and the result is a Python scalar for a
-scalar and an array of the input's shape for an array.
+0-d arrays too), never None, a str or a bool; a pair is two of them.
+A point argument (``z``, ``t``, ``u``, ``omega``) is a scalar or an array of
+any shape whose points are all numbers, finite and at or above the function's
+bound; a DomainError names the first point that is not, and the result is a
+Python scalar for a scalar and an array of the input's shape for an array.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def _real(x) -> float:
     """``x`` as a float if it is a real number (numpy real scalars and 0-d
     arrays included, bools not); NaN, which every range check refuses,
     for anything else."""
+    if type(x) is float:  # the common case, ahead of the slower ABC check
+        return x
     if isinstance(x, np.ndarray) and x.ndim == 0:
         x = x[()]
     if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Real):
@@ -126,6 +128,19 @@ def _nonneg_float(x, name: str, strict: bool = False, err=DomainError) -> float:
         raise err(f"{name} must be finite and {'> 0' if strict else '>= 0'}"
                   f", got {x!r}")
     return v
+
+
+def _pair(x, name: str, err=ValidationError) -> Tuple[float, float]:
+    """``x`` as two floats, if it is a sequence of two real numbers, neither
+    NaN; else ``err``."""
+    try:
+        first, second = x
+    except (TypeError, ValueError):  # not a sequence of two
+        first = second = None
+    first, second = _real(first), _real(second)
+    if math.isnan(first) or math.isnan(second):
+        raise err(f"{name} must be a pair of real numbers, got {x!r}")
+    return first, second
 
 
 def _unit_interval(x, name: str, err=ValidationError) -> float:

@@ -19,8 +19,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import (DomainError, FractionalOrder, NonConvergenceError,
-                     ValidationError, _count, _nonneg_float, _order,
-                     _real, _unit_interval)
+                     ValidationError, _count, _finite_float, _nonneg_float,
+                     _order, _pair, _real, _unit_interval)
 from .specfun import _ml_slope, mittag_leffler
 from .spinboson import AsymptoticRegime, BathSpec, CoherenceSeries, \
     asymptotic_Q, bath_correlation
@@ -209,7 +209,7 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
         return float(_rmse(resid))
 
     if init is not None:
-        a0, lam0 = float(init[0]), float(init[1])
+        a0, lam0 = _pair(init, "init")
         if not (0.0 < a0 <= 1.0) or not lam0 > 0.0:
             raise ValidationError("init must provide alpha in (0,1], lambda > 0")
         best = np.array([a0, math.log(lam0)])
@@ -315,7 +315,7 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
     """
     a = _order(alpha).alpha
     t_star = _nonneg_float(t_star, "t_star", strict=True)
-    v_star = u_star
+    v_star = u_star = _finite_float(u_star, "u_star")
     if u_inf is not None:
         u_inf = _unit_interval(u_inf, "u_inf", DomainError)
         v_star = (u_star - u_inf) / (1.0 - u_inf)

@@ -53,7 +53,7 @@ point's included.  Matrix mode shares the flow layer of
 checked and M built by one helper, the eigenbasis of :func:`ml_propagate`
 comes from one rule, and the states of a trajectory are checked once, as one
 stack, after the core has run.  The trajectory keeps that stack and makes a
-step's DensityMatrix only when it is asked for.
+step's DensityMatrix, its entries alone, only when it is asked for.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ class _StackedStates(Sequence):
     first one made, also across threads); ``len`` builds nothing.
     """
 
-    def __init__(self, init: DensityMatrix, stack: np.ndarray, tol: float):
+    def __init__(self, init: DensityMatrix, stack: np.ndarray):
         self.init = init
         self.stack = stack
-        self._tol = tol
         self._built = {0: init}
 
     def __len__(self) -> int:
@@ -215,7 +214,7 @@ class _StackedStates(Sequence):
         state = self._built.get(k)
         if state is None:
             state = self._built.setdefault(
-                k, _admitted_state(self.stack[k - 1], self._tol))
+                k, _admitted_state(self.stack[k - 1]))
         return state
 
 
@@ -501,10 +500,11 @@ def _validate_solve_args(alpha, h, n_steps):
 def _flow_operator(gen, init) -> Tuple[np.ndarray, np.ndarray]:
     """(M, u0) for D^alpha u = M u from ``init``.
 
-    Matrix mode: the superoperator and vec(init), as lindblad checks them.
-    Scalar mode (a rate lambda for ``gen``): M = [[-lambda]], u0 = [init].
+    Matrix mode (a generator or superoperator): the superoperator and
+    vec(init), as lindblad checks them.  Scalar mode (a rate lambda for
+    ``gen``): M = [[-lambda]], u0 = [init].
     """
-    if isinstance(gen, GKSLGenerator):
+    if isinstance(gen, (GKSLGenerator, Superoperator)):
         return _gksl_flow(gen, init)
     try:
         lam, u0 = complex(gen), complex(init)
@@ -533,12 +533,11 @@ def _trajectory(
     stack = _check_flow(stack, "state", _STATE_FAIL_TOL,
                         warn_tol=_STATE_WARN_TOL,
                         times=h * np.arange(1, len(stack) + 1), stacklevel=3)
-    return FracTrajectory(alpha, h, scheme,
-                          _StackedStates(init, stack, 2 * _STATE_FAIL_TOL))
+    return FracTrajectory(alpha, h, scheme, _StackedStates(init, stack))
 
 
 def fam_solve(
-    gen: Union[GKSLGenerator, float, complex],
+    gen: Union[GKSLGenerator, Superoperator, float, complex],
     alpha: _AlphaLike,
     h: float,
     n_steps: int,
@@ -547,7 +546,8 @@ def fam_solve(
 ) -> FracTrajectory:
     """Solve D^alpha rho = L rho by the fractional Adams-Moulton method.
 
-    ``gen`` is a :class:`~fracdyn.lindblad.GKSLGenerator` (matrix mode) or a
+    ``gen`` is a :class:`~fracdyn.lindblad.GKSLGenerator` or its
+    :class:`Superoperator` (matrix mode, the same bits from both) or a
     positive scalar rate lambda (scalar mode, L -> multiplication by -lambda).
     Returns the trajectory at t_n = n h for n = 0..N.  The horizon h N may
     not exceed the fixed ``_MAX_HORIZON`` = 1e6 (DomainError).
@@ -572,7 +572,7 @@ def fam_solve(
 
 
 def fam_solve_soe(
-    gen: Union[GKSLGenerator, float, complex],
+    gen: Union[GKSLGenerator, Superoperator, float, complex],
     alpha: _AlphaLike,
     h: float,
     n_steps: int,
@@ -650,5 +650,4 @@ def ml_propagate(
     coeffs = np.linalg.solve(V, rho0)
     factors = mittag_leffler(a, evals * t**a)
     out = unvec(V @ (factors * coeffs), gen.dim)
-    return _admit_flow(out[None], "spectral propagation", _STATE_FAIL_TOL,
-                       2 * _STATE_FAIL_TOL)[0]
+    return _admit_flow(out, "spectral propagation", _STATE_FAIL_TOL)

@@ -31,13 +31,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FractionalOrder,
                      ValidationError, _AlphaLike, _coerce_enum, _count,
-                     _nonneg_float, _order, _points, _real, _shaped)
+                     _nonneg_float, _order, _pair, _points, _real, _shaped)
 from .specfun import _rgamma
 
 __all__ = [
@@ -100,14 +100,16 @@ class SOEKernel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _order(self.alpha))
-        if not self.terms:
-            raise ValidationError("SOEKernel requires at least one term")
-        rates = [xi for _, xi in self.terms]
+        terms = self.terms if isinstance(self.terms, (tuple, list)) else ()
+        if not terms:
+            raise ValidationError("SOEKernel requires at least one term, "
+                                  f"in a tuple or list, got {self.terms!r}")
+        rates = [_pair(term, "SOEKernel term")[1] for term in terms]
         if any(xi < 0.0 for xi in rates):
             raise ValidationError("SOE rates must be nonnegative")
         if any(b <= a for a, b in zip(rates, rates[1:])):
             raise ValidationError("SOE rates must be strictly increasing")
-        t_min, t_max = self.valid_range
+        t_min, t_max = _pair(self.valid_range, "SOEKernel valid_range")
         if not (0.0 < t_min <= t_max):
             raise ValidationError("valid_range must satisfy 0 < t_min <= t_max")
         tol = _real(self.tol)
@@ -242,12 +244,12 @@ def complete_monotonicity_probe(
     """
     a = _order(alpha).alpha
     kind = _coerce_enum(KernelKind, kind, "kernel kind")
-    pts = np.asarray(list(grid) if not isinstance(grid, np.ndarray) else grid,
-                     dtype=float)
+    pts, shape = _points(list(grid) if isinstance(grid, Iterator) else grid,
+                         "complete_monotonicity_probe grid", 0.0, strict=True)
     order = _count(order, "order")
     if order > 6:
         raise ValidationError("order must be a whole number in [0, 6]")
-    if pts.ndim != 1 or pts.size < order + 1:
+    if len(shape) != 1 or pts.size < order + 1:
         raise ValidationError("grid must be 1-D with at least order+1 points")
     if np.any(np.diff(pts) <= 0.0):
         raise ValidationError("grid must be strictly increasing")

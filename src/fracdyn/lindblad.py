@@ -99,10 +99,11 @@ def _as_square_complex(m, name: str) -> np.ndarray:
     return arr
 
 
-def _density_defects(
+def _defects_and_hermitian_part(
     entries: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hermiticity, trace and negative-eigenvalue defects of a stack.
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Hermiticity, trace and negative-eigenvalue defects of a stack, and
+    the stack's Hermitian parts.
 
     ``entries`` has shape (..., d, d); each defect is an array over the
     leading axes (0-d for one matrix).  A matrix with a non-finite entry has
@@ -110,13 +111,6 @@ def _density_defects(
     shows to be positive semidefinite has negative-eigenvalue defect 0
     without an eigensolve; only the others take ``eigvalsh``.
     """
-    return _defects_and_hermitian_part(entries)[0]
-
-
-def _defects_and_hermitian_part(
-    entries: np.ndarray,
-) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """(:func:`_density_defects` of ``entries``, their Hermitian parts)."""
     if not np.all(np.isfinite(entries)):
         # eigvalsh rejects non-finite input: check a zero stand-in instead.
         finite = np.all(np.isfinite(entries), axis=(-2, -1))
@@ -143,21 +137,19 @@ def _defects_and_hermitian_part(
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A quantum state: Hermitian, unit-trace, positive-semidefinite matrix."""
+    """A quantum state: Hermitian, unit-trace, positive-semidefinite matrix
+    (to _HERM_TOL, _TRACE_TOL, _PSD_TOL; a propagated one to its route's)."""
 
     entries: np.ndarray
-    herm_tol: float = _HERM_TOL
-    trace_tol: float = _TRACE_TOL
-    psd_tol: float = _PSD_TOL
 
     def __post_init__(self) -> None:
         arr = _as_square_complex(self.entries, "density matrix")
-        herm, trace, neg = (float(x) for x in _density_defects(arr))
-        if herm > self.herm_tol:
+        herm, trace, neg = map(float, _defects_and_hermitian_part(arr)[0])
+        if herm > _HERM_TOL:
             raise ValidationError(f"density matrix not Hermitian (defect {herm:g})")
-        if trace > self.trace_tol:
+        if trace > _TRACE_TOL:
             raise ValidationError(f"density matrix trace defect {trace:g}")
-        if neg > self.psd_tol:
+        if neg > _PSD_TOL:
             raise ValidationError(f"density matrix negative eigenvalue {-neg:g}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -171,20 +163,14 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries @ self.entries)))
 
     def eigenvalues(self) -> np.ndarray:
-        sym = 0.5 * (self.entries + self.entries.conj().T)
-        return np.linalg.eigvalsh(sym)
+        return np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T))
 
 
-def _admitted_state(entries: np.ndarray, tol: float) -> DensityMatrix:
-    """A state on ``entries``, a read-only Hermitian matrix whose defects the
-    caller has already bounded with :func:`_density_defects`.
-
-    The matrix is neither checked nor copied again; the state records
-    ``tol`` as all three tolerances.
-    """
+def _admitted_state(entries: np.ndarray) -> DensityMatrix:
+    """A state on ``entries``, a read-only Hermitian matrix that
+    :func:`_check_flow` has checked: neither checked nor copied again."""
     state = object.__new__(DensityMatrix)
-    vars(state).update(entries=entries, herm_tol=tol, trace_tol=tol,
-                       psd_tol=tol)
+    object.__setattr__(state, "entries", entries)
     return state
 
 
@@ -223,15 +209,12 @@ def _check_flow(stack: np.ndarray, what: str, fail_tol: float,
     return sym
 
 
-def _admit_flow(stack: np.ndarray, what: str, fail_tol: float,
-                admit_tol: float, warn_tol: float = math.inf,
-                stacklevel: int = 1) -> Tuple[DensityMatrix, ...]:
-    """States from a stack (k, d, d) of propagated matrices: checked by
-    :func:`_check_flow`, then admitted with ``admit_tol`` (roundoff
-    accumulates along a flow)."""
-    sym = _check_flow(stack, what, fail_tol, warn_tol,
-                      stacklevel=stacklevel + 1)
-    return tuple(_admitted_state(entries, admit_tol) for entries in sym)
+def _admit_flow(entries: np.ndarray, what: str, fail_tol: float,
+                warn_tol: float = math.inf) -> DensityMatrix:
+    """The state on one propagated matrix, its defects bounded by the route's
+    ``fail_tol`` (:func:`_check_flow`); a warning names the route's caller."""
+    return _admitted_state(_check_flow(entries[None], what, fail_tol,
+                                       warn_tol, stacklevel=3)[0])
 
 
 def plus_state() -> DensityMatrix:
@@ -370,9 +353,8 @@ def semigroup_apply(
     if u == 0.0:
         return rho
     out = unvec(expm(u * M) @ rho0, superop.dim)
-    return _admit_flow(out[None], "propagated state", _FLOW_FAIL_TOL,
-                       10.0 * _FLOW_FAIL_TOL, warn_tol=_FLOW_WARN_TOL,
-                       stacklevel=2)[0]
+    return _admit_flow(out, "propagated state", _FLOW_FAIL_TOL,
+                       _FLOW_WARN_TOL)
 
 
 def cptp_diagnostics(
@@ -385,6 +367,8 @@ def cptp_diagnostics(
     The map is CPTP iff the defect vanishes and the Choi matrix is PSD.
     Restricted to dim <= 8 (the Choi matrix is d^2 x d^2).
     """
+    if not isinstance(superop, Superoperator):
+        raise ValidationError("cptp_diagnostics needs a Superoperator")
     d = superop.dim
     if d > 8:
         raise ValidationError("cptp_diagnostics supports dim <= 8")
@@ -434,13 +418,13 @@ def density_to_json(rho: DensityMatrix) -> dict:
     return {"dim": rho.dim, "entries": _matrix_to_pairs(rho.entries)}
 
 
-def density_from_json(data: dict, **tolerances) -> DensityMatrix:
+def density_from_json(data: dict) -> DensityMatrix:
     try:
         dim = _count(data["dim"], "dim", 1)
         pairs = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
-    return DensityMatrix(_pairs_to_matrix(pairs, dim, "entries"), **tolerances)
+    return DensityMatrix(_pairs_to_matrix(pairs, dim, "entries"))
 
 
 def generator_to_json(gen: GKSLGenerator) -> dict:

@@ -22,7 +22,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .errors import (DomainError, ValidationError, _finite_float,
-                     _nonneg_float, _points, _real, _shaped)
+                     _nonneg_float, _pair, _points, _real, _shaped)
 
 __all__ = [
     "AsymptoticRegime",
@@ -396,7 +396,7 @@ def markov_fit_rate(series: CoherenceSeries,
     ``window = (t_start, t_end)`` and returns gamma = -slope / 2, matching
     the model u_M(t) = e^{i eps t} e^{-2 gamma t}.
     """
-    t_start, t_end = _real(window[0]), _real(window[1])
+    t_start, t_end = _pair(window, "markov_fit_rate window")
     if not (t_start < t_end):
         raise ValidationError("markov_fit_rate window must have t_start < t_end"
                               f", got {tuple(window)!r}")

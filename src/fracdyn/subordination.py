@@ -249,8 +249,7 @@ def subordinated_propagate(
         return semigroup_apply(Superoperator(gen.dim, M), t, init)
     phi = _subordinated_matrix(M, a, t)
     out = unvec(phi @ rho0, gen.dim)
-    return _admit_flow(out[None], "subordinated state", _STATE_TOL,
-                       _STATE_TOL)[0]
+    return _admit_flow(out, "subordinated state", _STATE_TOL)
 
 
 def trajectory_estimate(

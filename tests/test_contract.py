@@ -30,12 +30,14 @@ from fracdyn import (
     WeightScheme,
     complete_monotonicity_probe,
     corrector_weights,
+    cptp_diagnostics,
     default_fit_window,
     dephasing_qubit,
     divisibility_defect,
     exact_coherence,
     fam_solve,
     fam_solve_soe,
+    fit_fractional,
     kernel_eval,
     lambda_from_point,
     markov_coherence,
@@ -246,15 +248,50 @@ def test_observable_that_is_not_a_matrix_of_numbers_raises(bad):
         trajectory_estimate(GEN, 0.5, 1.0, RHO, bad, 10, 0)
 
 
+# Each argument that once let a value of the wrong kind escape as a bare
+# builtin error: (call with such a value, the site's error class).
+WRONG_KIND_SITES = {
+    "cptp_diagnostics generator":
+        (lambda: cptp_diagnostics(dephasing_qubit(0.3, 0.5), 1.0),
+         ValidationError),
+    "cptp_diagnostics str": (lambda: cptp_diagnostics("x"), ValidationError),
+    "complete_monotonicity_probe grid":
+        (lambda: complete_monotonicity_probe(0.5, "volterra",
+                                             ["a", "b", "c"], 1),
+         DomainError),
+    "lambda_from_point u_star str":
+        (lambda: lambda_from_point(0.5, 1.0, "x"), DomainError),
+    "lambda_from_point u_star None":
+        (lambda: lambda_from_point(0.5, 1.0, None), DomainError),
+    "markov_fit_rate window short":
+        (lambda: markov_fit_rate(SERIES, (1.0,)), ValidationError),
+    "markov_fit_rate window None":
+        (lambda: markov_fit_rate(SERIES, None), ValidationError),
+    "SOEKernel term":
+        (lambda: SOEKernel(0.5, ((1.0, "x"),), (1.0, 2.0), 1e-8),
+         ValidationError),
+    "SOEKernel valid_range":
+        (lambda: SOEKernel(0.5, ((1.0, 1.0),), ("a", "b"), 1e-8),
+         ValidationError),
+    "fit_fractional init":
+        (lambda: fit_fractional(SERIES, WINDOW, init=("a", 1)),
+         ValidationError),
+}
+
+
+@pytest.mark.parametrize("site", sorted(WRONG_KIND_SITES))
+def test_value_of_the_wrong_kind_raises_site_error(site):
+    call, error = WRONG_KIND_SITES[site]
+    with pytest.raises(error):
+        call()
+
+
 # Every option of the public API: each defaulted parameter of a function
 # and each defaulted field of a dataclass in fracdyn.__all__, with its
 # default.  An option that no caller sets belongs in a module constant.
 OPTIONS = {
     ("BathSpec", "beta"): math.inf,
     ("BathSpec", "omega_c"): 1.0,
-    ("DensityMatrix", "herm_tol"): 1e-12,
-    ("DensityMatrix", "psd_tol"): 1e-10,
-    ("DensityMatrix", "trace_tol"): 1e-12,
     ("FitResult", "u_inf"): None,
     ("GKSLGenerator", "channels"): (),
     ("complete_monotonicity_probe", "negate"): False,

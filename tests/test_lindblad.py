@@ -1,5 +1,6 @@
 """Unit tests for fracdyn.lindblad: GKSL generators and semigroup flow."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from fracdyn.lindblad import (
     Superoperator,
     _admit_flow,
     _check_flow,
-    _density_defects,
+    _defects_and_hermitian_part,
     build_superoperator,
     cptp_diagnostics,
     density_from_json,
@@ -75,14 +76,14 @@ def test_density_defects_of_a_stack():
         [[0.7, 0.5], [0.5, 0.3]],
         [[np.nan, 0.0], [0.0, 1.0]],
     ], dtype=complex)
-    herm, trace, neg = _density_defects(stack)
+    herm, trace, neg = _defects_and_hermitian_part(stack)[0]
     min_eig = 0.5 - math.sqrt(0.2**2 + 0.5**2)
     np.testing.assert_allclose(herm, [0.0, 0.2, 0.0, 0.0, np.inf], atol=1e-15)
     np.testing.assert_allclose(trace, [0.0, 0.0, 0.2, 0.0, np.inf],
                                atol=1e-15)
     np.testing.assert_allclose(neg, [0.0, 0.0, 0.0, -min_eig, np.inf],
                                atol=1e-15)
-    one = _density_defects(stack[1])
+    one = _defects_and_hermitian_part(stack[1])[0]
     assert [float(x) for x in one] == [herm[1], trace[1], neg[1]]
 
 
@@ -142,7 +143,7 @@ def test_density_defects_against_an_eigensolve_of_each(d, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(
         len(a)) or eigvalsh(a))
-    herm, trace, neg = _density_defects(stack)
+    herm, trace, neg = _defects_and_hermitian_part(stack)[0]
     monkeypatch.undo()
     certified = np.array([finite[k] and _gershgorin_bound(m) >= 0.0
                           for k, m in enumerate(stack)])
@@ -157,8 +158,8 @@ def test_density_defects_against_an_eigensolve_of_each(d, monkeypatch):
     assert np.all(ref[2][certified] <= 1e-15)
     assert np.any(neg[open_] > 1e-3)  # the non-PSD kind reaches eigvalsh
     for k in (0, 1, 2, 7):  # one matrix gives the stack's values
-        assert [float(x) for x in _density_defects(stack[k])] == [
-            herm[k], trace[k], neg[k]]
+        one = _defects_and_hermitian_part(stack[k])[0]
+        assert [float(x) for x in one] == [herm[k], trace[k], neg[k]]
 
 
 def _state_with_min_eig(e, angle=0.3):
@@ -191,14 +192,13 @@ def test_check_flow_reports_the_first_negative_state():
 
 
 def test_admitted_states_are_read_only_hermitian_parts():
-    stack = np.array([[[0.5, 0.3], [0.1, 0.5]], np.eye(2) / 2], dtype=complex)
-    states = _admit_flow(stack, "state", 1.0, 1e-3)
-    assert all(isinstance(s, DensityMatrix) for s in states)
-    np.testing.assert_array_equal(states[0].entries,
-                                  [[0.5, 0.2], [0.2, 0.5]])
-    assert states[1].psd_tol == states[1].trace_tol == 1e-3
+    state = _admit_flow(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex),
+                        "state", 1.0)
+    assert isinstance(state, DensityMatrix)
+    assert [f.name for f in dataclasses.fields(state)] == ["entries"]
+    np.testing.assert_array_equal(state.entries, [[0.5, 0.2], [0.2, 0.5]])
     with pytest.raises(ValueError):
-        states[1].entries[0, 0] = 1.0
+        state.entries[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("m", [

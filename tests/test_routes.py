@@ -1,7 +1,7 @@
 """One physical object three ways: the fractional GKSL flow of random
 generators from the Mittag-Leffler propagator, the subordination integral
 over the operational clock (quadrature and Monte Carlo), and the
-fractional Adams-Moulton solver.
+fractional Adams-Moulton solver (whole history and sum-of-exponentials).
 
 The draw is fixed by its seed, and it must put eigenvalues z = lambda t^a
 of the superoperator on both sides of the Mittag-Leffler pole contour's
@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from fracdyn.fracsolve import fam_solve, ml_propagate
+from fracdyn.fracsolve import fam_solve, fam_solve_soe, ml_propagate
+from fracdyn.kernels import soe_compress
 from fracdyn.lindblad import (
     DensityMatrix,
     GKSLGenerator,
@@ -77,8 +78,14 @@ def test_three_routes_agree(flow, alpha, t):
     sub = subordinated_propagate(gen, alpha, t, init).entries
     assert np.max(np.abs(sub - ml)) <= 1e-10
 
-    fam = fam_solve(gen, alpha, t / 4000, 4000, init).final().entries
+    h = t / 4000
+    fam = fam_solve(gen, alpha, h, 4000, init).final().entries
     assert np.max(np.abs(fam - ml)) <= 1e-6
+
+    soe = fam_solve_soe(build_superoperator(gen), alpha, h, 4000, init,
+                        soe_compress(alpha, h, t, 1e-10)).final().entries
+    assert np.max(np.abs(soe - ml)) <= 1e-6
+    assert np.max(np.abs(soe - fam)) <= 1e-10
 
     mc = trajectory_estimate(gen, alpha, t, init, obs, 20000, seed=flow)
     assert abs(mc.mean - np.trace(obs @ ml).real) <= 5.0 * mc.stderr
