@@ -105,47 +105,43 @@ _POSITIVE = partial(_nonneg_float, name="value", strict=True)
 _NONNEG = partial(_nonneg_float, name="value")
 _EPSILON = partial(_finite_float, name="value")
 
-# Each command's keys and their checks; a key ending in "?" is optional.  A
-# check is a nested table or a callable that raises on a bad value.
-_BATH = {"eta": _POSITIVE, "chi": _POSITIVE, "omega_c?": _POSITIVE,
-         "beta?": lambda v: None if v == "inf" else _above_zero(v)}
+# Each command's keys.  A key maps to its check: a nested table, or a
+# callable that raises on a bad value.  A key that may be left out maps to
+# (check, default); _check writes the default into the config, so the
+# commands read it and the digest covers it.  A key ending in "?" has no
+# default: whether it is needed depends on other keys.
+_BATH = {"eta": _POSITIVE, "chi": _POSITIVE, "omega_c": (_POSITIVE, 1.0),
+         "beta": (lambda v: None if v == "inf" else _above_zero(v), "inf")}
 _GRID = {"t_min": _NONNEG, "t_max": _POSITIVE,
          "n_points": partial(_count, name="value", minimum=1),
-         "spacing?": _choice("linear", "log")}
+         "spacing": (_choice("linear", "log"), "linear")}
 _WINDOW = {"t_start": _POSITIVE, "t_end": _above_zero}
 _FIELDS = {
     "exact": {"command": _choice("exact"), "bath": _BATH, "grid": _GRID,
               "regime": _choice(*_REGIMES)},
     "markov": {"command": _choice("markov"), "bath": _BATH, "grid": _GRID,
-               "window": _WINDOW, "epsilon?": _EPSILON},
+               "window": _WINDOW, "epsilon": (_EPSILON, 0.0)},
     "fracfit": {"command": _choice("fracfit"), "bath": _BATH, "grid": _GRID,
-                "window": _WINDOW, "epsilon?": _EPSILON,
-                "plateau?": lambda v: v in (None, "auto")
-                or _unit_interval(v, "value")},
+                "window": _WINDOW, "epsilon": (_EPSILON, 0.0),
+                "plateau": (lambda v: v in (None, "auto")
+                            or _unit_interval(v, "value"), None)},
     "subordinate": {"command": _choice("subordinate"), "alpha": _order,
-                    "gamma?": _POSITIVE, "epsilon?": _EPSILON, "grid": _GRID,
+                    "gamma": (_POSITIVE, 1.0), "epsilon": (_EPSILON, 0.0),
+                    "grid": _GRID,
                     "n_samples": partial(_count, name="value", minimum=2),
-                    "seed?": partial(_count, name="value"),
-                    "observable?": _choice(*_OBSERVABLES),
+                    "seed": (partial(_count, name="value"), 0),
+                    "observable": (_choice(*_OBSERVABLES), "sigma_x"),
                     "divisibility?": {"lam": _POSITIVE,
-                                      "tau_fraction?": _fraction}},
+                                      "tau_fraction": (_fraction, 0.5)}},
     "solve": {"command": _choice("solve"), "generator": _object,
               "init?": _object, "alpha": _order, "h?": _POSITIVE,
               "n_steps?": partial(_count, name="value", minimum=1),
-              "scheme?": _choice("standard_dff", "paper_printed"),
-              "history?": _choice("dense", "soe"), "soe_tol?": _above_zero,
-              "mode?": _choice("trajectory", "convergence"),
-              "horizon?": _POSITIVE, "h_values?": _steps},
-}
-
-_DEFAULTS = {
-    "exact": {},
-    "markov": {"epsilon": 0.0},
-    "fracfit": {"epsilon": 0.0, "plateau": None},
-    "subordinate": {"gamma": 1.0, "epsilon": 0.0, "seed": 0,
-                    "observable": "sigma_x"},
-    "solve": {"scheme": "standard_dff", "history": "dense", "soe_tol": 1e-8,
-              "mode": "trajectory", "horizon": 1.0},
+              "scheme": (_choice("standard_dff", "paper_printed"),
+                         "standard_dff"),
+              "history": (_choice("dense", "soe"), "dense"),
+              "soe_tol": (_above_zero, 1e-8),
+              "mode": (_choice("trajectory", "convergence"), "trajectory"),
+              "horizon": (_POSITIVE, 1.0), "h_values?": _steps},
 }
 
 
@@ -169,24 +165,22 @@ def _load_config(path: str) -> dict:
             f"$.command: must be one of {sorted(_FIELDS)}, got {command!r}"
         )
     _check(doc, _FIELDS[command], "$")
-    effective = dict(_DEFAULTS[command])
-    effective.update(doc)
-    if "divisibility" in effective:
-        block = dict(effective["divisibility"])
-        block.setdefault("tau_fraction", 0.5)
-        effective["divisibility"] = block
-    return effective
+    return doc
 
 
 def _check(doc: dict, fields: dict, path: str) -> None:
-    """ConfigError "<path>.<key>: ..." for the first unknown key, missing
-    required key or refused value of ``doc`` under ``fields``."""
+    """Write each default of ``fields`` that ``doc`` leaves out into it,
+    nested tables included; ConfigError "<path>.<key>: ..." for the first
+    unknown key, missing required key or refused value."""
     for key in doc:
         if key not in fields and f"{key}?" not in fields:
             raise ConfigError(f"{path}.{key}: unknown key")
     for spec, check in fields.items():
         key = spec.rstrip("?")
         where = f"{path}.{key}"
+        if isinstance(check, tuple):
+            check, default = check
+            doc.setdefault(key, default)
         if key not in doc:
             if key == spec:
                 raise ConfigError(f"{where}: required")
@@ -205,19 +199,17 @@ def _config_digest(config: dict) -> str:
 
 
 def _build_bath(cfg: dict) -> BathSpec:
-    beta = cfg.get("beta", "inf")
-    return BathSpec(eta=cfg["eta"], chi=cfg["chi"],
-                    omega_c=cfg.get("omega_c", 1.0),
+    beta = cfg["beta"]
+    return BathSpec(eta=cfg["eta"], chi=cfg["chi"], omega_c=cfg["omega_c"],
                     beta=math.inf if beta == "inf" else float(beta))
 
 
 def _build_grid(cfg: dict) -> np.ndarray:
     t_min, t_max = float(cfg["t_min"]), float(cfg["t_max"])
     n = int(cfg["n_points"])
-    spacing = cfg.get("spacing", "linear")
     if not t_max > t_min:
         raise ConfigError("$.grid: t_max must exceed t_min")
-    if spacing == "log":
+    if cfg["spacing"] == "log":
         if t_min <= 0.0:
             raise ConfigError("$.grid: log spacing requires t_min > 0")
         return np.geomspace(t_min, t_max, n)

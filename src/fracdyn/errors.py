@@ -13,9 +13,10 @@ but not a bool, and is never truncated.  A time, rate or step is a finite
 float >= 0 (or > 0), a detuning ``epsilon`` a finite float of either sign,
 a plateau a float in [0, 1); each is a real number (numpy real scalars and
 0-d arrays too), never None, a str or a bool; a pair is two of them.
-A point argument (``z``, ``t``, ``u``, ``omega``) is a scalar or an array of
-any shape whose points are all numbers, finite and at or above the function's
-bound; a DomainError names the first point that is not, and the result is a
+A point argument (``z``, ``t``, ``u``, ``omega``, a time grid) is a scalar or
+an array of any shape whose points are all numbers, never bools, finite and
+at or above the function's bound; a ragged nest of lists is no array.  The
+site's error class names the first point that is not, and the result is a
 Python scalar for a scalar and an array of the input's shape for an array.
 """
 
@@ -165,28 +166,41 @@ def _coerce_enum(cls, value, what: str):
     raise ValidationError(f"unknown {what}: {value!r}")
 
 
+def _holds_bool(m) -> bool:
+    """Whether ``m`` holds a bool at any depth of its lists and tuples,
+    where numpy would turn it into a number; an ndarray tells by its dtype."""
+    if isinstance(m, np.ndarray):
+        return m.dtype.kind == "b"
+    if isinstance(m, (list, tuple)):
+        return any(map(_holds_bool, m))
+    return isinstance(m, (bool, np.bool_))
+
+
 def _points(x, what: str, lower: Optional[float] = None,
-            strict: bool = False) -> Tuple[np.ndarray, tuple]:
+            strict: bool = False, err=DomainError) -> Tuple[np.ndarray, tuple]:
     """The points of ``x`` as a flat float (or, without ``lower``, complex)
     array, and the shape for :func:`_shaped`.
 
-    Each point must be a number, finite and >= ``lower`` (> if ``strict``),
-    else a DomainError that ``what`` opens (e.g. "m_wright z") names the
-    first.
+    ``x`` must be a number or a regular array of numbers, none a bool, each
+    finite and >= ``lower`` (> if ``strict``), else ``err`` that ``what``
+    opens (e.g. "m_wright z") names the first point that is not.
     """
-    arr = np.asarray(x)
-    is_complex = arr.dtype.kind == "c"
-    if arr.dtype.kind not in ("iuf" if lower is not None else "iufc"):
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nest of lists
+        arr = np.asarray(None)
+    dtype = np.dtype(bool) if _holds_bool(x) else arr.dtype
+    if dtype.kind not in ("iuf" if lower is not None else "iufc"):
         kind = "real" if lower is not None else "a number"
-        raise DomainError(f"{what} must be {kind}, got {arr.dtype}")
-    flat = np.asarray(arr, dtype=complex if is_complex else float).ravel()
+        raise err(f"{what} must be {kind}, got {dtype}")
+    flat = np.asarray(arr, complex if dtype.kind == "c" else float).ravel()
     ok = np.isfinite(flat)
     if lower is not None:
         ok &= flat > lower if strict else flat >= lower
     if not ok.all():
         bound = "" if lower is None else \
             f" and {'>' if strict else '>='} {lower:g}"
-        raise DomainError(
+        raise err(
             f"{what} must be finite{bound}, got {flat[np.argmin(ok)].item()!r}")
     return flat, arr.shape
 

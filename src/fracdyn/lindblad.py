@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (NumericalInstabilityError, ValidationError, _count,
-                     _finite_float, _nonneg_float)
+                     _finite_float, _holds_bool, _nonneg_float)
 
 __all__ = [
     "PAULI_X",
@@ -76,16 +76,6 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="C")
-
-
-def _holds_bool(m) -> bool:
-    """Whether ``m`` holds a bool at any depth of its lists and tuples,
-    where numpy would turn it into a number; an ndarray tells by its dtype."""
-    if isinstance(m, np.ndarray):
-        return m.dtype.kind == "b"
-    if isinstance(m, (list, tuple)):
-        return any(map(_holds_bool, m))
-    return isinstance(m, (bool, np.bool_))
 
 
 def _as_square_complex(m, name: str) -> np.ndarray:

@@ -452,10 +452,17 @@ def m_wright_asymptotic(alpha, z: float) -> float:
     a = _order(alpha).alpha
     if a == 1.0:
         raise DomainError("M_1 degenerates to a point mass; alpha must be < 1")
-    z = _nonneg_float(z, "asymptotic form z", strict=True)
+    return math.exp(_log_m_wright_tail(
+        a, _nonneg_float(z, "asymptotic form z", strict=True)))
+
+
+def _log_m_wright_tail(a: float, z: float) -> float:
+    """The logarithm of :func:`m_wright_asymptotic` for 0 < a < 1 and z > 0;
+    -inf where ``z^(1/(1-a))`` overflows, the tail being below any double."""
     one = 1.0 - a
-    p = (a - 0.5) / one
-    amp = a**p / math.sqrt(2.0 * math.pi * one)
-    b = one * a ** (a / one)
-    with np.errstate(over="ignore", under="ignore"):
-        return float(amp * z**p * math.exp(-b * z ** (1.0 / one)))
+    try:
+        decay = one * a ** (a / one) * z ** (1.0 / one)
+    except OverflowError:
+        return -math.inf
+    return ((a - 0.5) / one * math.log(a * z)
+            - 0.5 * math.log(2.0 * math.pi * one) - decay)

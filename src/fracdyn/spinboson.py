@@ -239,14 +239,12 @@ def bath_correlation(bath: BathSpec, t) -> Union[float, np.ndarray]:
 def _validated_grid(grid) -> np.ndarray:
     """A checked float copy of ``grid``: the caller's array is never the one
     a :class:`CoherenceSeries` freezes."""
-    times = np.array(grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
+    times, shape = _points(grid, "time grid", 0.0, err=ValidationError)
+    if len(shape) != 1 or times.size == 0:
         raise ValidationError("time grid must be a non-empty 1-D array")
-    if not np.all(np.isfinite(times)) or times[0] < 0.0:
-        raise ValidationError("time grid must be finite with times[0] >= 0")
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
+    if np.any(np.diff(times) <= 0.0):
         raise ValidationError("time grid must be strictly increasing")
-    return times
+    return times.copy()
 
 
 _SERIES_TAGS = ("exact", "markov", "tcl", "fractional", "fractional-plateau")

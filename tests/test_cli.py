@@ -124,6 +124,14 @@ class TestConfigValidation:
         assert code == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_non_object_root(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code = main(["exact", "--config", str(path), "--out",
+                     str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "root must be a JSON object" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         code = main(["exact", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o.csv")])

@@ -276,6 +276,15 @@ WRONG_KIND_SITES = {
     "fit_fractional init":
         (lambda: fit_fractional(SERIES, WINDOW, init=("a", 1)),
          ValidationError),
+    "_points bool": (lambda: mittag_leffler(0.5, [True, 1.0]), DomainError),
+    "_points ragged":
+        (lambda: mittag_leffler(0.5, [[1.0], [1.0, 2.0]]), DomainError),
+    "exact_coherence grid":
+        (lambda: exact_coherence(BATH, 0.0, "x"), ValidationError),
+    "markov_coherence grid":
+        (lambda: markov_coherence(0.1, 0.0, "x"), ValidationError),
+    "tcl_coherence grid":
+        (lambda: tcl_coherence(BATH, 0.0, [True, 2.0]), ValidationError),
 }
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracdyn import cli
 from fracdyn.cli import main
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
@@ -144,6 +145,79 @@ def test_fit_demo_matches_committed_output(tmp_path, stem):
         if key in want_fit:
             np.testing.assert_allclose(got_fit[key], want_fit[key],
                                        rtol=FIT_RTOL, atol=0.0, err_msg=key)
+
+
+# Every default of the config language by command; a nested table's
+# defaults as a table.
+_BATH = {"omega_c": 1.0, "beta": "inf"}
+_GRID = {"spacing": "linear"}
+DEFAULTS = {
+    "exact": {"bath": _BATH, "grid": _GRID},
+    "markov": {"bath": _BATH, "grid": _GRID, "epsilon": 0.0},
+    "fracfit": {"bath": _BATH, "grid": _GRID, "epsilon": 0.0,
+                "plateau": None},
+    "subordinate": {"gamma": 1.0, "epsilon": 0.0, "grid": _GRID, "seed": 0,
+                    "observable": "sigma_x",
+                    "divisibility": {"tau_fraction": 0.5}},
+    "solve": {"scheme": "standard_dff", "history": "dense", "soe_tol": 1e-8,
+              "mode": "trajectory", "horizon": 1.0},
+}
+DEMO_STEMS = sorted(path.stem for path in (DEMOS / "configs").glob("*.json"))
+
+
+def field_defaults(fields):
+    """The defaults of a field table of ``fracdyn.cli``, as DEFAULTS has
+    them."""
+    found = {}
+    for spec, check in fields.items():
+        if isinstance(check, tuple):
+            found[spec] = check[1]
+        elif isinstance(check, dict) and (nested := field_defaults(check)):
+            found[spec.rstrip("?")] = nested
+    return found
+
+
+def written_out(doc, defaults):
+    """``doc`` with each default it leaves out written in; a nested table's
+    defaults go into ``doc``'s table where it has one."""
+    full = dict(doc)
+    for key, value in defaults.items():
+        if not isinstance(value, dict):
+            full.setdefault(key, value)
+        elif key in full:
+            full[key] = written_out(full[key], value)
+    return full
+
+
+def test_default_table_is_every_config_default():
+    assert {command: field_defaults(fields)
+            for command, fields in cli._FIELDS.items()} == DEFAULTS
+
+
+@pytest.mark.parametrize("stem", DEMO_STEMS)
+def test_written_out_defaults_leave_artifacts_byte_identical(tmp_path, stem):
+    doc = json.loads((DEMOS / "configs" / f"{stem}.json").read_text())
+    full = written_out(doc, DEFAULTS[doc["command"]])
+    artifacts = []
+    for i, config in enumerate((doc, full)):
+        path, run_dir = tmp_path / f"{i}.json", tmp_path / str(i)
+        path.write_text(json.dumps(config))
+        run_dir.mkdir()
+        assert main([doc["command"], "--config", str(path),
+                     "--out", str(run_dir / f"{stem}.csv")]) == 0
+        artifacts.append({out.name: out.read_bytes()
+                          for out in run_dir.iterdir()})
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("artifact", sorted(
+    path.name for path in (DEMOS / "output").glob("*.csv")))
+def test_committed_digest_matches_its_config(artifact):
+    stem = artifact[:-len(".csv")].removesuffix("_divisibility")
+    config = cli._load_config(str(DEMOS / "configs" / f"{stem}.json"))
+    with open(DEMOS / "output" / artifact, encoding="utf-8") as fh:
+        first = fh.readline()
+    assert first == f"# config_digest: {cli._config_digest(config)}\n"
 
 
 def test_library_tour_runs():

@@ -211,6 +211,11 @@ def test_soekernel_validates_rate_ordering():
         SOEKernel(a, (), (0.1, 1.0), 1e-3)
 
 
+def test_soekernel_rejects_reversed_valid_range():
+    with pytest.raises(ValidationError, match="valid_range"):
+        SOEKernel(FractionalOrder(0.5), ((1.0, 1.0),), (1.0, 0.1), 1e-3)
+
+
 def test_soekernel_evaluate_types():
     k = soe_compress(0.5, 0.1, 10.0, 1e-4)
     scalar = k.evaluate(1.0)

@@ -238,6 +238,12 @@ def test_generator_rejects_dimension_mismatch():
         GKSLGenerator(np.zeros((3, 3)), ((PAULI_Z, 0.1),))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_generator_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        GKSLGenerator(np.array([[0.0, 0.0], [0.0, bad]]))
+
+
 def test_generator_allows_empty_channels():
     gen = GKSLGenerator(0.5 * PAULI_Z)
     assert gen.channels == ()
@@ -472,6 +478,9 @@ def test_json_malformed_raises():
         density_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValidationError):
         generator_from_json({"dim": 2})
+    for bad in ({"dim": 2}, {"entries": []}, "x"):
+        with pytest.raises(ValidationError, match="malformed"):
+            density_from_json(bad)
 
 
 @pytest.mark.parametrize("rate", [True, False, "0.5", None, [0.5]])

@@ -48,6 +48,12 @@ def test_gamma_poles_raise(bad):
         gamma_fn(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gamma_non_finite_raises(bad):
+    with pytest.raises(DomainError, match="finite"):
+        gamma_fn(bad)
+
+
 def test_gamma_overflow_and_underflow():
     # Gamma overflows past 171.62 and underflows to a signed zero on the far
     # negative axis: sign (-1)^181 on (-181, -180), (-1)^182 on (-182, -181).
@@ -522,6 +528,8 @@ def test_mw_normalization(alpha):
 def test_mw_alpha_one_raises():
     with pytest.raises(DomainError):
         m_wright(1.0, 0.5)
+    with pytest.raises(DomainError, match="point mass"):
+        m_wright_asymptotic(1.0, 2.0)
 
 
 def test_mw_negative_argument_raises():

@@ -757,6 +757,10 @@ class TestMarkovModel:
             )
         with pytest.raises(DomainError):
             markov_coherence(0.0, 0.0, grid)
+        growing = CoherenceSeries(grid, np.exp(0.1 * (grid - 10.0)) + 0j,
+                                  "fractional")
+        with pytest.raises(ValidationError, match="non-decaying"):
+            markov_fit_rate(growing, (0.0, 10.0))
 
     def test_constant_rate_model_misses_exact(self):
         # Fit the exponential model on [2, 60] and confirm it deviates from

@@ -213,6 +213,26 @@ class TestSubordinatedPropagate:
                 worst = max(worst, abs(got - mittag_leffler(alpha, -lam * t**alpha)))
         assert worst < 1e-6
 
+    @pytest.mark.parametrize("alpha", [0.9995, 0.9999])
+    def test_alpha_near_one(self, alpha):
+        # Above alpha = 0.99943 the tail estimate's x0^(1/(1-alpha))
+        # overflows at x0 = 1.5; the tail is then below any double, not
+        # unreachable.
+        gen = dephasing_qubit(0.0, 0.5)
+        for t in (0.5, 1.0, 5.0):
+            out = subordinated_propagate(gen, alpha, t, plus_state())
+            assert abs(out.entries[0, 1]
+                       - 0.5 * mittag_leffler(alpha, -t**alpha)) < 1e-12
+
+    @pytest.mark.slow
+    def test_alpha_closer_to_one_is_an_accuracy_error(self):
+        # M_alpha peaks near x = 1 with a width that shrinks with 1 - alpha;
+        # at alpha = 0.99999 the finest panels (12 doublings) do not resolve
+        # it, and the quadrature says so.
+        with pytest.raises(AccuracyError, match="12 panel doublings"):
+            subordinated_propagate(dephasing_qubit(0.0, 0.5), 0.99999, 1.0,
+                                   plus_state())
+
     def test_time_zero_is_identity(self):
         gen = dephasing_qubit(0.0, 0.5)
         rho0 = plus_state()
@@ -288,6 +308,9 @@ class TestSubordinatedPropagate:
             subordinated_propagate(gen, 0.5, -1.0, plus_state())
         with pytest.raises(ValidationError):
             subordinated_propagate(gen, 0.5, 1.0, 0.5)
+        qutrit = DensityMatrix(np.eye(3, dtype=complex) / 3.0)
+        with pytest.raises(ValidationError, match="dimensions differ"):
+            subordinated_propagate(gen, 0.5, 1.0, qutrit)
 
     def test_superoperator_gives_same_bits(self):
         gen = dephasing_qubit(2.0, 0.5)
@@ -521,6 +544,8 @@ class TestTrajectoryEstimate:
         bad_obs = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError):
             trajectory_estimate(gen, 0.5, 1.0, plus_state(), bad_obs, 10, 0)
+        with pytest.raises(ValidationError, match="shape"):
+            trajectory_estimate(gen, 0.5, 1.0, plus_state(), np.eye(3), 10, 0)
         with pytest.raises(ValidationError):
             TrajectoryEstimate(0.5, -1.0, 10, 0)
         with pytest.raises(ValidationError):
