@@ -12,7 +12,9 @@ minimum and at most the largest array size, an int or an integral float
 but not a bool, and is never truncated.  A time, rate or step is a finite
 float >= 0 (or > 0), a detuning ``epsilon`` a finite float of either sign,
 a plateau a float in [0, 1); each is a real number (numpy real scalars and
-0-d arrays too), never None, a str or a bool; a pair is two of them.
+0-d arrays too), never None, a str or a bool; a pair is two of them.  A
+structured argument (a series, a bath, a fit window) is an instance of its
+class.
 A point argument (``z``, ``t``, ``u``, ``omega``, a time grid) is a scalar or
 an array of any shape whose points are all numbers, never bools, finite and
 at or above the function's bound; a ragged nest of lists is no array.  The
@@ -142,6 +144,14 @@ def _pair(x, name: str, err=ValidationError) -> Tuple[float, float]:
     if math.isnan(first) or math.isnan(second):
         raise err(f"{name} must be a pair of real numbers, got {x!r}")
     return first, second
+
+
+def _instance(x, cls, name: str, err=ValidationError):
+    """``x`` if it is a ``cls`` (a structured argument: a series, a bath, a
+    window), else ``err``."""
+    if not isinstance(x, cls):
+        raise err(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 def _unit_interval(x, name: str, err=ValidationError) -> float:

@@ -19,8 +19,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import (DomainError, FractionalOrder, NonConvergenceError,
-                     ValidationError, _count, _finite_float, _nonneg_float,
-                     _order, _pair, _real, _unit_interval)
+                     ValidationError, _count, _finite_float, _instance,
+                     _nonneg_float, _order, _pair, _real, _unit_interval)
 from .specfun import _ml_slope, mittag_leffler
 from .spinboson import AsymptoticRegime, BathSpec, CoherenceSeries, \
     asymptotic_Q, bath_correlation
@@ -40,6 +40,8 @@ _MAX_EVALS = 10_000
 _ALPHA_GRID = np.arange(1, 21) * 0.05          # 0.05 .. 1.00
 _LOG_LAMBDA_GRID = np.linspace(-3.0, 2.0, 41)  # lambda in [1e-3, 1e2]
 _SIMPLEX_TOL = 5e-7                            # diameter < 1e-6 in (alpha, ln lambda)
+_BOUND_STRIDE = 8                              # grid bound: every 8th sample
+_BOUND_SLACK = 1e-9                            # covers the rounding of two sums
 _SLOPE_RUN_TOL = 0.05
 _SLOPE_RUN_MIN = 5
 
@@ -87,8 +89,10 @@ class FitResult:
 
     def model(self, t) -> np.ndarray:
         """Evaluate the fitted coherence model on an array of times."""
-        return _model_values(self.alpha.alpha, self.lam, np.asarray(t, float),
-                             self.u_inf)
+        # Times t <= 0 give z = 0, hence E = 1.
+        t = np.asarray(t, float)
+        return _model_values(self.alpha.alpha, self.lam,
+                             np.where(t > 0.0, t, 0.0), self.u_inf)
 
     def to_json(self) -> str:
         doc = {"alpha": self.alpha.alpha, "lambda": self.lam}
@@ -108,22 +112,24 @@ class FitResult:
 
 def _model_values(alpha: float, lam, times: np.ndarray,
                   u_inf: Optional[float]) -> np.ndarray:
-    # Times t <= 0 give z = 0, hence E = 1.  A column of lambdas gives one
+    # Times >= 0; a fit window's are > 0.  A column of lambdas gives one
     # row of model values per lambda, in one mittag_leffler call.
-    clipped = np.where(times > 0.0, times, 0.0)
-    out = mittag_leffler(alpha, -lam * clipped**alpha)
+    out = mittag_leffler(alpha, -lam * times**alpha)
     if u_inf is not None:
         out = u_inf + (1.0 - u_inf) * out
     return out
 
 
-def _rmse(resid: np.ndarray):
-    """Root mean square of ``resid`` along its last axis."""
-    return np.sqrt(np.mean(resid * resid, axis=-1))
+def _mean_square(resid: np.ndarray, n: int):
+    """Sum of squares of ``resid`` along its last axis, over ``n``: the
+    bits of ``np.mean`` when ``n`` is that axis's length."""
+    return np.add.reduce(resid * resid, axis=-1) / n
 
 
 def _window_samples(target: CoherenceSeries,
                     window: FitWindow) -> Tuple[np.ndarray, np.ndarray]:
+    _instance(target, CoherenceSeries, "target")
+    _instance(window, FitWindow, "window")
     mask = (target.times >= window.t_start) & (target.times <= window.t_end)
     times = target.times[mask]
     mags = np.abs(target.values[mask])
@@ -150,7 +156,7 @@ def rmse_objective(alpha, lam: float, target: CoherenceSeries,
         u_inf = _unit_interval(u_inf, "u_inf", DomainError)
     times, mags = _window_samples(target, window)
     resid = _model_values(a, lam, times, u_inf) - mags
-    return float(_rmse(resid))
+    return math.sqrt(_mean_square(resid, times.size))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,59 @@ def _resolve_plateau(target: CoherenceSeries, plateau,
     return _unit_interval(plateau, "plateau")
 
 
+def _grid_start(times: np.ndarray, mags: np.ndarray, u_inf: Optional[float],
+                budget: int) -> Tuple[np.ndarray, float, int]:
+    """The first grid cell of least RMSE in (alpha, lambda) order, as
+    ``(alpha, ln lambda)``, its RMSE, and the cells counted: the first
+    ``budget`` cells of the 20 x 41 grid, row by row in alpha.
+
+    Exact branch and bound.  Over every ``_BOUND_STRIDE``-th sample, the
+    squared residuals of a cell are a subset of its full ones, all >= 0,
+    so their sum over n is a lower bound LB on the cell's mean square.  One
+    call per alpha row bounds every budgeted cell; the cell of least LB,
+    evaluated in full, sets the threshold U.  Only cells with
+    LB <= U (1 + ``_BOUND_SLACK``) are evaluated in full, a call per row,
+    in (alpha, lambda) order with the strict-< first-minimum rule of a full
+    scan.  The sums share their terms bit for bit, and each rounds to well
+    under 1e-12 relative (numpy sums pairwise), so every other cell has a
+    mean square, and an RMSE, above U's: above the minimum and unable to
+    tie it.  The cell and its RMSE are those of the full scan, bit for bit,
+    since each value depends only on its own row.
+    """
+    log_lams = _LOG_LAMBDA_GRID * math.log(10.0)
+    # math.exp, as in the objective: np.exp may differ in the last bit.
+    lams = np.array([math.exp(v) for v in log_lams])
+    n = times.size
+    rows = []
+    for a in _ALPHA_GRID:
+        cells = min(lams.size, budget)
+        if cells <= 0:
+            break
+        budget -= cells
+        rows.append((a, lams[:cells, None]))
+
+    sub_times, sub_mags = times[::_BOUND_STRIDE], mags[::_BOUND_STRIDE]
+    bounds = [_mean_square(_model_values(a, col, sub_times, u_inf) - sub_mags,
+                           n) for a, col in rows]
+    k = int(np.argmin(np.concatenate(bounds)))
+    a, col = rows[k // lams.size]
+    resid = _model_values(a, col[k % lams.size], times, u_inf) - mags
+    threshold = _mean_square(resid, n) * (1.0 + _BOUND_SLACK)
+
+    best, best_val = None, math.inf
+    for (a, col), bound in zip(rows, bounds):
+        cand = np.flatnonzero(bound <= threshold)
+        if cand.size == 0:
+            continue
+        resid = _model_values(a, col[cand], times, u_inf) - mags
+        vals = np.sqrt(_mean_square(resid, n))
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best = np.array([a, log_lams[cand[j]]])
+            best_val = float(vals[j])
+    return best, best_val, sum(col.size for _, col in rows)
+
+
 def fit_fractional(target: CoherenceSeries, window: FitWindow,
                    plateau: Union[None, float, str] = None,
                    bath: Optional[BathSpec] = None,
@@ -184,21 +243,34 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
     If the evaluation budget is exhausted before the simplex converges, the
     best point so far is returned with ``converged=False``.
 
-    ``evaluations`` (and the ``max_evaluations`` budget) counts grid cells
-    and simplex evaluations, one per (alpha, lambda) point, not array calls:
-    the grid evaluates each alpha row of 41 lambdas in one call.
+    The grid stage is an exact branch and bound (:func:`_grid_start`).  A
+    call per alpha row over every 8th window sample gives each cell a lower
+    bound LB on its mean square, as the squared residuals left out are
+    >= 0.  The cell of least LB, evaluated in full, gives the threshold U;
+    only cells with LB <= U (1 + 1e-9) are evaluated in full, a call per
+    row, and the first minimum in (alpha, lambda) order wins.  Every other
+    cell's mean square exceeds U by more than rounding, so it can neither be
+    the minimum nor tie it: the start cell and its RMSE are those of a full
+    scan of the grid, bit for bit.
+
+    ``evaluations`` (and the ``max_evaluations`` budget) counts every grid
+    cell, evaluated in full or not, and every simplex evaluation, one per
+    (alpha, lambda) point, not array calls.
     """
     from scipy.optimize import minimize
 
     max_evaluations = _count(max_evaluations, "max_evaluations", 1)
-    u_inf = _resolve_plateau(target, plateau, bath)
     times, mags = _window_samples(target, window)
+    if bath is not None:
+        _instance(bath, BathSpec, "bath")
+    u_inf = _resolve_plateau(target, plateau, bath)
     if np.any(mags <= 0.0):
         raise ValidationError(
             "fit_fractional requires positive magnitudes on the window"
         )
 
     count = [0]
+    n = times.size
 
     def objective(params: np.ndarray) -> float:
         a, log_lam = float(params[0]), float(params[1])
@@ -206,7 +278,7 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
             return math.inf
         count[0] += 1
         resid = _model_values(a, math.exp(log_lam), times, u_inf) - mags
-        return float(_rmse(resid))
+        return math.sqrt(_mean_square(resid, n))
 
     if init is not None:
         a0, lam0 = _pair(init, "init")
@@ -215,22 +287,8 @@ def fit_fractional(target: CoherenceSeries, window: FitWindow,
         best = np.array([a0, math.log(lam0)])
         best_val = objective(best)
     else:
-        # Row by row in alpha, each row one array call; the first minimum
-        # in (alpha, lambda) order wins, as a cell-by-cell scan would pick.
-        best, best_val = None, math.inf
-        log_lams = _LOG_LAMBDA_GRID * math.log(10.0)
-        # math.exp, as in the objective: np.exp may differ in the last bit.
-        lams = np.array([math.exp(v) for v in log_lams])
-        for a in _ALPHA_GRID:
-            cells = min(lams.size, max_evaluations - count[0])
-            if cells <= 0:
-                break
-            count[0] += cells
-            resid = _model_values(a, lams[:cells, None], times, u_inf) - mags
-            vals = _rmse(resid)
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best, best_val = np.array([a, log_lams[j]]), float(vals[j])
+        best, best_val, count[0] = _grid_start(times, mags, u_inf,
+                                               max_evaluations)
 
     converged = True
     start = best
@@ -273,7 +331,7 @@ def local_order_estimate(target: CoherenceSeries,
     over the maximal run (>= 5 points) where successive slopes differ by
     less than 0.05.
     """
-    mags = np.abs(target.values)
+    mags = np.abs(_instance(target, CoherenceSeries, "target").values)
     if plateau is not None:
         plateau = _unit_interval(plateau, "plateau", DomainError)
         mags = (mags - plateau) / (1.0 - plateau)
@@ -362,6 +420,7 @@ def lambda_from_point(alpha, t_star: float, u_star: float,
 
 def bath_correlation_time(bath: BathSpec) -> float:
     """First time at which |C(t)| drops to e^{-1} |C(0)|, bisected to 1e-6."""
+    _instance(bath, BathSpec, "bath")
     c0 = abs(bath_correlation(bath, 0.0))
     if c0 == 0.0:
         raise DomainError("bath_correlation_time requires C(0) != 0")

@@ -79,7 +79,10 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _as_square_complex(m, name: str) -> np.ndarray:
-    arr = np.asarray(m)
+    try:
+        arr = np.asarray(m)
+    except ValueError:  # a ragged nest of lists
+        arr = np.asarray(None)
     if arr.dtype.kind not in "iufc" or arr.ndim != 2 \
             or arr.shape[0] != arr.shape[1] or _holds_bool(m):
         raise ValidationError(f"{name} must be a square matrix of numbers")
@@ -225,8 +228,14 @@ class GKSLGenerator:
         if herm > _HERM_TOL:
             raise ValidationError(f"hamiltonian not Hermitian (defect {herm:g})")
         d = H.shape[0]
+        try:
+            channels = [(jump, rate) for jump, rate in self.channels]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise ValidationError(
+                "channels must be a sequence of (jump operator, rate) pairs"
+            ) from None
         norm: List[Tuple[np.ndarray, float]] = []
-        for jump, rate in self.channels:
+        for jump, rate in channels:
             L = _as_square_complex(jump, "jump operator")
             if L.shape[0] != d:
                 raise ValidationError("jump operator dimension mismatch")

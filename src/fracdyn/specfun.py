@@ -165,6 +165,20 @@ def _contour_left_of_pole(phi):
     return mu, h, np.ceil(np.sqrt(1.0 - log_tol / mu) / h)
 
 
+def _contour_prefix(mu, h, n: int):
+    """The part of :func:`_contour` that does not depend on ``a``: the nodes
+    ``s_k`` and ``(h / pi) mu (1 + i u_k) e^{s_k}``."""
+    u = h * np.arange(-n, n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    return s, (h / math.pi) * mu * (1.0 + 1j * u) * np.exp(s)
+
+
+def _contour_from_prefix(a: float, s: np.ndarray, pre: np.ndarray):
+    """:func:`_contour` from its prefix, in the same order of products."""
+    sa = s**a
+    return sa, pre * sa / s
+
+
 def _contour(a: float, mu, h, n: int):
     """Nodes ``s_k^a`` and weights of ``E_a(z) = sum_k w_k / (s_k^a - z)``.
 
@@ -172,18 +186,22 @@ def _contour(a: float, mu, h, n: int):
     ``h / (2 pi i) e^{s_k} s_k^(a-1) s'_k``.  ``mu`` and ``h`` may be column
     arrays, one contour per row.
     """
-    u = h * np.arange(-n, n + 1)
-    s = mu * (1.0 + 1j * u) ** 2
-    sa = s**a
-    w = (h / math.pi) * mu * (1.0 + 1j * u) * np.exp(s) * sa / s
-    return sa, w
+    return _contour_from_prefix(a, *_contour_prefix(mu, h, n))
+
+
+@lru_cache(maxsize=1)
+def _shared_prefix():
+    """:func:`_contour_prefix` of the shared contour, built on first use."""
+    mu, h, n = _capped_contour(0.0)
+    s, pre = _contour_prefix(mu, float(h), int(n))
+    s.flags.writeable = pre.flags.writeable = False
+    return s, pre
 
 
 @lru_cache(maxsize=256)
 def _shared_contour(a: float):
     """The contour of every ``z`` without a principal-sheet pole."""
-    mu, h, n = _capped_contour(0.0)
-    sa, w = _contour(a, mu, float(h), int(n))
+    sa, w = _contour_from_prefix(a, *_shared_prefix())
     sa.flags.writeable = w.flags.writeable = False
     return sa, w
 

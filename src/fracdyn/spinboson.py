@@ -21,7 +21,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import (DomainError, ValidationError, _finite_float,
+from .errors import (DomainError, ValidationError, _finite_float, _instance,
                      _nonneg_float, _pair, _points, _real, _shaped)
 
 __all__ = [
@@ -394,6 +394,7 @@ def markov_fit_rate(series: CoherenceSeries,
     ``window = (t_start, t_end)`` and returns gamma = -slope / 2, matching
     the model u_M(t) = e^{i eps t} e^{-2 gamma t}.
     """
+    _instance(series, CoherenceSeries, "markov_fit_rate series")
     t_start, t_end = _pair(window, "markov_fit_rate window")
     if not (t_start < t_end):
         raise ValidationError("markov_fit_rate window must have t_start < t_end"

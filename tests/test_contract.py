@@ -40,6 +40,7 @@ from fracdyn import (
     fit_fractional,
     kernel_eval,
     lambda_from_point,
+    local_order_estimate,
     markov_coherence,
     markov_fit_rate,
     m_wright,
@@ -56,7 +57,7 @@ from fracdyn import (
     trajectory_estimate,
 )
 from fracdyn.errors import _unit_interval
-from fracdyn.lindblad import PAULI_X
+from fracdyn.lindblad import PAULI_X, PAULI_Z, DensityMatrix, GKSLGenerator
 
 GEN = dephasing_qubit(1.0, 0.5)
 RHO = plus_state()
@@ -285,6 +286,38 @@ WRONG_KIND_SITES = {
         (lambda: markov_coherence(0.1, 0.0, "x"), ValidationError),
     "tcl_coherence grid":
         (lambda: tcl_coherence(BATH, 0.0, [True, 2.0]), ValidationError),
+    "rmse_objective window tuple":
+        (lambda: rmse_objective(0.5, 1.0, SERIES, (1.0, 9.0)), ValidationError),
+    "rmse_objective window str":
+        (lambda: rmse_objective(0.5, 1.0, SERIES, "x"), ValidationError),
+    "rmse_objective target":
+        (lambda: rmse_objective(0.5, 1.0, "x", WINDOW), ValidationError),
+    "fit_fractional window tuple":
+        (lambda: fit_fractional(SERIES, (1.0, 9.0)), ValidationError),
+    "fit_fractional window str":
+        (lambda: fit_fractional(SERIES, "x"), ValidationError),
+    "fit_fractional target":
+        (lambda: fit_fractional("x", WINDOW), ValidationError),
+    "fit_fractional bath":
+        (lambda: fit_fractional(SERIES, WINDOW, plateau="auto", bath="x"),
+         ValidationError),
+    "local_order_estimate target":
+        (lambda: local_order_estimate("x"), ValidationError),
+    "markov_fit_rate series":
+        (lambda: markov_fit_rate("x", (1.0, 9.0)), ValidationError),
+    "default_fit_window bath":
+        (lambda: default_fit_window("x"), ValidationError),
+    "GKSLGenerator ragged hamiltonian":
+        (lambda: GKSLGenerator([[1, 2], [3]]), ValidationError),
+    "DensityMatrix ragged":
+        (lambda: DensityMatrix([[1, 0], [0]]), ValidationError),
+    "trajectory_estimate ragged observable":
+        (lambda: trajectory_estimate(GEN, 0.5, 1.0, RHO, [[1, 0], [0]], 10, 0),
+         ValidationError),
+    "GKSLGenerator channels not pairs":
+        (lambda: GKSLGenerator(PAULI_Z, 5), ValidationError),
+    "GKSLGenerator channel without rate":
+        (lambda: GKSLGenerator(PAULI_Z, ((PAULI_Z,),)), ValidationError),
 }
 
 

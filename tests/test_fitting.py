@@ -15,6 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from fracdyn import fitting
 from fracdyn.errors import DomainError, NonConvergenceError, ValidationError
@@ -348,16 +350,72 @@ class TestBatchedGrid:
 
     def test_one_call_per_alpha_row(self, exact_super):
         # The super-Ohmic demo fit with the budget of the grid alone: one
-        # call per alpha row, plus the final rmse_objective.
+        # bound call per alpha row over every 8th of the 73 samples, one
+        # full call for the cell of least bound, one full call per row that
+        # holds a candidate, then the final rmse_objective.  Never a call
+        # per cell, and every cell counted.
         with mock.patch("fracdyn.fitting.mittag_leffler",
                         wraps=mittag_leffler) as spy:
             r = fit_fractional(exact_super, FitWindow(2.0, 20.0),
                                plateau="auto", bath=BathSpec(1.0, 1.5),
                                max_evaluations=820)
         assert r.evaluations == 820
-        assert spy.call_count == 20 + 1
-        rows = [c.args[1].shape for c in spy.call_args_list[:20]]
-        assert rows == [(41, 73)] * 20
+        calls = [(c.args[0], c.args[1].shape) for c in spy.call_args_list]
+        assert calls[:20] == [(a, (41, 10)) for a in fitting._ALPHA_GRID]
+        assert calls[20][1] == (73,)
+        rows, last = calls[21:-1], calls[-1]
+        alphas = [a for a, _ in rows]
+        assert 1 <= len(rows) <= 20 and alphas == sorted(set(alphas))
+        assert all(shape[1:] == (73,) for _, shape in rows)
+        assert sum(shape[0] for _, shape in rows) < 41
+        assert last[1] == (73,)
+
+
+def full_row_scan(times, mags, u_inf, budget):
+    """The grid stage as a scan of every budgeted cell, one call per alpha
+    row: ``((alpha, ln lambda), rmse, cells counted)``."""
+    log_lams = fitting._LOG_LAMBDA_GRID * math.log(10.0)
+    lams = np.array([math.exp(v) for v in log_lams])
+    best, best_val, count = None, math.inf, 0
+    for a in fitting._ALPHA_GRID:
+        cells = min(lams.size, budget - count)
+        if cells <= 0:
+            break
+        count += cells
+        resid = fitting._model_values(a, lams[:cells, None], times,
+                                      u_inf) - mags
+        vals = np.sqrt(np.mean(resid * resid, axis=-1))
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best, best_val = (a, log_lams[j]), float(vals[j])
+    return best, best_val, count
+
+
+class TestBoundPrunedGrid:
+    @seed(2028)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(alpha=st.one_of(st.sampled_from(list(fitting._ALPHA_GRID)),
+                           st.floats(0.05, 1.0)),
+           log_lam=st.one_of(
+               st.sampled_from(list(fitting._LOG_LAMBDA_GRID[::4])),
+               st.floats(-3.0, 2.0)),
+           plateau=st.one_of(st.none(), st.floats(0.0, 0.6)),
+           noise=st.one_of(st.just(0.0), st.floats(0.0, 0.05)),
+           t_end=st.floats(3.0, 100.0),
+           budget=st.one_of(st.just(820), st.integers(1, 820)))
+    def test_same_cell_and_bits_as_a_full_scan(self, alpha, log_lam, plateau,
+                                               noise, t_end, budget):
+        times = np.arange(0.0, 100.25, 0.25)
+        lam = 10.0 ** log_lam
+        u = fitting._model_values(alpha, lam, times, plateau)
+        u = u + noise * np.random.default_rng(7).standard_normal(times.size)
+        target = CoherenceSeries(times, u.astype(complex), meta="fractional")
+        t, mags = fitting._window_samples(target, FitWindow(2.0, t_end))
+        best, best_val, count = fitting._grid_start(t, mags, plateau, budget)
+        want, want_val, want_count = full_row_scan(t, mags, plateau, budget)
+        assert (best[0], best[1]) == want
+        assert best_val == want_val
+        assert count == want_count
 
 
 class TestLocalOrderEstimate:

@@ -336,6 +336,35 @@ def test_ml_pole_contour_length(monkeypatch):
     assert max(built) <= 327
 
 
+def _direct_contour(a, mu, h, n):
+    u = h * np.arange(-n, n + 1)
+    s = mu * (1.0 + 1j * u) ** 2
+    sa = s**a
+    return sa, (h / math.pi) * mu * (1.0 + 1j * u) * np.exp(s) * sa / s
+
+
+def test_contours_from_the_prefix_are_the_direct_formula():
+    # The shared contour takes its alpha-free part from a cached prefix,
+    # the pole contours from a fresh one; both keep the bits of the direct
+    # formula.  Pole rows: each region up to the switch at phi = 0.2735.
+    mu, h, n = specfun._capped_contour(0.0)
+    left = specfun._contour_left_of_pole(np.array([0.2736, 3.0, 40.0]))
+    right = specfun._capped_contour(
+        (specfun._POLE_GAP + np.sqrt([1e-6, 0.01, 0.2735])) ** 2)
+    poles = [(np.broadcast_to(m, (3,)), np.broadcast_to(hh, (3,)),
+              int(nn.max())) for m, hh, nn in (left, right)]
+    for a in np.linspace(0.005, 0.995, 199):
+        a = float(a)
+        for got, want in zip(specfun._shared_contour(a),
+                             _direct_contour(a, mu, float(h), int(n))):
+            assert np.array_equal(got, want)
+        for m, hh, nn in poles:
+            for got, want in zip(
+                    specfun._contour(a, m[:, None], hh[:, None], nn),
+                    _direct_contour(a, m[:, None], hh[:, None], nn)):
+                assert np.array_equal(got, want)
+
+
 def test_ml_array_contract():
     assert type(mittag_leffler(0.6, -1.5)) is float
     assert type(mittag_leffler(0.6, np.float64(-1.5))) is float
