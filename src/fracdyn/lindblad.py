@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (NumericalInstabilityError, ValidationError, _count,
-                     _finite_float, _holds_bool, _nonneg_float)
+                     _finite_float, _holds_bool, _instance, _nonneg_float)
 
 __all__ = [
     "PAULI_X",
@@ -75,6 +75,7 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
+    dim = _count(dim, "unvec dim", 1)
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="C")
 
 
@@ -285,7 +286,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def build_superoperator(gen: GKSLGenerator) -> Superoperator:
     """Assemble the d^2 x d^2 matrix of the GKSL generator (row-major vec)."""
-    d = gen.dim
+    d = _instance(gen, GKSLGenerator, "build_superoperator gen").dim
     eye = np.eye(d, dtype=complex)
     H = gen.hamiltonian
     M = -1.0j * (_kron(H, eye) - _kron(eye, H.T))
@@ -414,6 +415,7 @@ def _pairs_to_matrix(pairs: Sequence[Sequence[float]], dim: int,
 
 
 def density_to_json(rho: DensityMatrix) -> dict:
+    _instance(rho, DensityMatrix, "density_to_json rho")
     return {"dim": rho.dim, "entries": _matrix_to_pairs(rho.entries)}
 
 
@@ -427,6 +429,7 @@ def density_from_json(data: dict) -> DensityMatrix:
 
 
 def generator_to_json(gen: GKSLGenerator) -> dict:
+    _instance(gen, GKSLGenerator, "generator_to_json gen")
     return {
         "dim": gen.dim,
         "hamiltonian": _matrix_to_pairs(gen.hamiltonian),

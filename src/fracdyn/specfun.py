@@ -206,19 +206,31 @@ def _shared_contour(a: float):
     return sa, w
 
 
+@lru_cache(maxsize=1)
+def _folded_prefix():
+    """The ``k >= 0`` half of :func:`_shared_prefix`, the ``pre`` of
+    ``k >= 1`` doubled for their conjugate partners ``-k``."""
+    s, pre = _shared_prefix()
+    k0 = s.size // 2
+    s, pre = s[k0:].copy(), pre[k0:].copy()
+    pre[1:] *= 2.0
+    s.flags.writeable = pre.flags.writeable = False
+    return s, pre
+
+
 @lru_cache(maxsize=256)
 def _folded_contour(a: float):
     """The shared contour folded onto its nodes ``k >= 0``, as real arrays.
 
     Returns ``(Re s^a, (Im s^a)^2, Re w, Im w * Im s^a)``, with the weights
-    of ``k >= 1`` doubled for their conjugate partners ``-k``.
+    of ``k >= 1`` doubled for their conjugate partners ``-k``.  They are
+    the bits of the ``k >= 0`` half of :func:`_shared_contour` with those
+    weights doubled: the nodes are the same elementwise powers, and a
+    factor of 2 is exact in each product and quotient, so ``(2 pre) s^a /
+    s`` is ``2 (pre s^a / s)``.
     """
-    sa, w = _shared_contour(a)
-    k0 = sa.size // 2
-    sa, w = sa[k0:], w[k0:].copy()
-    w[1:] *= 2.0
-    folded = (np.ascontiguousarray(sa.real), sa.imag**2,
-              np.ascontiguousarray(w.real), w.imag * sa.imag)
+    sa, w = _contour_from_prefix(a, *_folded_prefix())
+    folded = (sa.real, sa.imag**2, w.real, w.imag * sa.imag)
     for v in folded:
         v.flags.writeable = False
     return folded
@@ -227,22 +239,22 @@ def _folded_contour(a: float):
 def _ml_fold(a: float, x: np.ndarray) -> np.ndarray:
     """``E_a(x)`` for a flat real array, ``-_FOLD_MAX < x <= 0``, ``a < 1``.
 
-    Each row is summed on its own, so a value does not depend on the
-    other elements or the chunking.
+    At ``x = 0`` the sum is 1 to rounding; the caller sets it to exactly 1.
+    Each row is summed on its own, so a value does not depend on the other
+    elements or the chunking.
     """
     sr, si2, wr, wisi = _folded_contour(a)
-    out = np.empty(x.shape)
     rows = _FOLD_BYTES // sr.nbytes
-    for lo in range(0, x.size, rows):
-        d = sr - x[lo:lo + rows, None]
-        num = d * wr
-        num += wisi
-        d *= d
-        d += si2
-        num /= d
-        num.sum(axis=1, out=out[lo:lo + rows])
-    out[x == 0.0] = 1.0
-    return out
+    if x.size > rows:
+        return np.concatenate([_ml_fold(a, x[lo:lo + rows])
+                               for lo in range(0, x.size, rows)])
+    d = sr - x[:, None]
+    num = d * wr
+    num += wisi
+    d *= d
+    d += si2
+    num /= d
+    return num.sum(axis=1)
 
 
 def _ml_slope(a: float, z: float) -> float:
@@ -264,12 +276,11 @@ def _ml_slope(a: float, z: float) -> float:
 def _ml_real(a: float, x: np.ndarray) -> np.ndarray:
     """``E_a(x)`` for a flat real array, ``0 < a < 1``."""
     fold = (x <= 0.0) & (x > -_FOLD_MAX)
-    if fold.all():
-        return _ml_fold(a, x)
     out = np.empty(x.shape)
     out[fold] = _ml_fold(a, x[fold])
     rest = ~fold
     out[rest] = _ml_contour(a, x[rest].astype(complex)).real
+    out[x == 0.0] = 1.0
     return out
 
 
@@ -325,10 +336,25 @@ def mittag_leffler(alpha, z):
     contour folded onto 28 nodes in real arithmetic; real ``z > 0`` (or
     below ``-1e150``) and complex ``z`` take the complex contour sum, with
     the pole residue where there is one.  See the module docstring.
+
+    Real input that lies wholly in the fold's range goes to the fold
+    directly, with the bits it has inside a mixed array.  It needs no
+    ``np.errstate``: above ``z = -1e150``, ``d = Re s^a - z`` is far from
+    the 1.3e154 where ``d^2`` overflows, and ``d^2 + (Im s^a)^2 > 0`` (the
+    vertex, the one node with ``Im s^a = 0``, has ``d >= mu^a > 0``), so
+    the quotient neither divides by zero nor is invalid.  Only underflow,
+    which numpy ignores by default, can occur.
     """
     a = _order(alpha).alpha
     flat, shape = _points(z, "mittag_leffler z")
     is_complex = np.iscomplexobj(flat)
+    if a < 1.0 and not is_complex and flat.size:
+        hi = flat.max()
+        if hi <= 0.0 and flat.min() > -_FOLD_MAX:
+            out = _ml_fold(a, flat)
+            if hi == 0.0:
+                out[flat == 0.0] = 1.0
+            return _shaped(out, shape)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if a == 1.0:
             out = np.exp(flat)

@@ -79,6 +79,7 @@ def spectral_density(bath: BathSpec, omega) -> Union[float, np.ndarray]:
 
     ``omega``: a scalar or any-shape array of finite frequencies >= 0.
     """
+    _instance(bath, BathSpec, "spectral_density bath")
     w, shape = _points(omega, "spectral_density omega", 0.0)
     out = bath.eta * w**bath.chi * bath.omega_c ** (1.0 - bath.chi) * np.exp(
         -w / bath.omega_c
@@ -200,6 +201,7 @@ def dephasing_Q(bath: BathSpec, t) -> Union[float, np.ndarray]:
     chi = 1 and 2: against 40-digit mpmath, the relative error is below
     1e-14 for chi in [0.05, 10], beta in [1e-3, 1e6] and t in [1e-8, 1e8].
     """
+    _instance(bath, BathSpec, "dephasing_Q bath")
     with np.errstate(over="ignore", invalid="ignore"):
         q = _on_times(bath, t, "dephasing_Q", 1.0 - bath.chi, _q_order,
                       (2.0 / math.pi) * bath.eta)
@@ -219,6 +221,7 @@ def bath_correlation(bath: BathSpec, t) -> Union[float, np.ndarray]:
     A C beyond float64 range (eta omega_c^2 too large) is a
     :class:`DomainError`.
     """
+    _instance(bath, BathSpec, "bath_correlation bath")
     try:
         amp = (2.0 / math.pi) * bath.eta * bath.omega_c ** 2
     except OverflowError:  # omega_c^2 beyond float64: refused below
@@ -296,6 +299,7 @@ class CoherenceSeries:
 
 def exact_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:
     """u(t_k) = e^{-i epsilon t_k} e^{-Q(t_k)} with u(0) normalized to 1."""
+    _instance(bath, BathSpec, "exact_coherence bath")
     epsilon = _finite_float(epsilon, "exact_coherence epsilon")
     times = _validated_grid(grid)
     values = np.exp(-1j * epsilon * times - dephasing_Q(bath, times))
@@ -358,6 +362,7 @@ def asymptotic_Q(bath: BathSpec, t: float, regime: AsymptoticRegime) -> float:
     responsibility; chi must match the regime.  A ShortTime or SubOhmic
     value beyond the largest double is a DomainError naming omega_c.
     """
+    _instance(bath, BathSpec, "asymptotic_Q bath")
     if not isinstance(regime, AsymptoticRegime):
         raise ValidationError("regime must be an AsymptoticRegime")
     t = _nonneg_float(t, "asymptotic_Q t", strict=True)
@@ -441,6 +446,7 @@ def tcl_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:
     rate Q'(t)/2 would move that column by up to 5.3e-9, far beyond the
     1e-12 absolute tolerance its reference output is checked at.
     """
+    _instance(bath, BathSpec, "tcl_coherence bath")
     epsilon = _finite_float(epsilon, "tcl_coherence epsilon")
     times = _validated_grid(grid)
     nodes, weights = np.polynomial.legendre.leggauss(5)

@@ -27,8 +27,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import (AccuracyError, DomainError, FractionalOrder,
-                     ValidationError, _AlphaLike, _count, _nonneg_float,
-                     _order, _points, _shaped)
+                     ValidationError, _AlphaLike, _count, _instance,
+                     _nonneg_float, _order, _points, _shaped)
 from .lindblad import (
     DensityMatrix,
     GKSLGenerator,
@@ -104,7 +104,7 @@ def levy_density(clock: OperationalClock, u) -> Union[float, np.ndarray]:
     ``u`` may be a scalar (returns ``float``) or an array of any shape,
     evaluated in one vectorized :func:`m_wright` call.
     """
-    a = clock.alpha.alpha
+    a = _instance(clock, OperationalClock, "levy_density clock").alpha.alpha
     scale = clock.t ** (-a)
     flat, shape = _points(u, "levy_density u", 0.0)
     return _shaped(scale * m_wright(a, flat * scale), shape)
@@ -123,7 +123,8 @@ def sample_clock(
     u = t^a sin V sin(aV)^(-a) (W / sin((1-a)V))^(1-a), which has no 1/a
     power to underflow or overflow at small a.
     """
-    a = clock.alpha.alpha
+    a = _instance(clock, OperationalClock, "sample_clock clock").alpha.alpha
+    _instance(rng_stream, np.random.Generator, "sample_clock rng_stream")
     n = 1 if size is None else _count(size, "size", 1)
     v = rng_stream.uniform(0.0, math.pi, n)
     w = rng_stream.standard_exponential(n)

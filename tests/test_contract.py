@@ -17,6 +17,7 @@ import pytest
 
 import fracdyn
 from fracdyn import (
+    AsymptoticRegime,
     BathSpec,
     DomainError,
     FitResult,
@@ -28,18 +29,25 @@ from fracdyn import (
     TrajectoryEstimate,
     ValidationError,
     WeightScheme,
+    asymptotic_Q,
+    bath_correlation,
+    build_superoperator,
     complete_monotonicity_probe,
     corrector_weights,
     cptp_diagnostics,
     default_fit_window,
+    density_to_json,
+    dephasing_Q,
     dephasing_qubit,
     divisibility_defect,
     exact_coherence,
     fam_solve,
     fam_solve_soe,
     fit_fractional,
+    generator_to_json,
     kernel_eval,
     lambda_from_point,
+    levy_density,
     local_order_estimate,
     markov_coherence,
     markov_fit_rate,
@@ -52,9 +60,12 @@ from fracdyn import (
     rmse_objective,
     sample_clock,
     soe_compress,
+    spectral_density,
     subordinated_propagate,
     tcl_coherence,
     trajectory_estimate,
+    unvec,
+    vec,
 )
 from fracdyn.errors import _unit_interval
 from fracdyn.lindblad import PAULI_X, PAULI_Z, DensityMatrix, GKSLGenerator
@@ -318,6 +329,32 @@ WRONG_KIND_SITES = {
         (lambda: GKSLGenerator(PAULI_Z, 5), ValidationError),
     "GKSLGenerator channel without rate":
         (lambda: GKSLGenerator(PAULI_Z, ((PAULI_Z,),)), ValidationError),
+    "exact_coherence bath":
+        (lambda: exact_coherence("x", 0.0, GRID), ValidationError),
+    "spectral_density bath":
+        (lambda: spectral_density("x", 1.0), ValidationError),
+    "dephasing_Q bath": (lambda: dephasing_Q("x", 1.0), ValidationError),
+    "bath_correlation bath":
+        (lambda: bath_correlation(None, 1.0), ValidationError),
+    "tcl_coherence bath":
+        (lambda: tcl_coherence("x", 0.0, GRID), ValidationError),
+    "asymptotic_Q bath":
+        (lambda: asymptotic_Q("x", 1.0, AsymptoticRegime.ShortTime),
+         ValidationError),
+    "sample_clock rng_stream":
+        (lambda: sample_clock(OperationalClock(0.5, 1.0), "x"),
+         ValidationError),
+    "sample_clock clock":
+        (lambda: sample_clock("x", np.random.default_rng(0)), ValidationError),
+    "levy_density clock": (lambda: levy_density("x", 1.0), ValidationError),
+    "density_to_json str": (lambda: density_to_json("x"), ValidationError),
+    "generator_to_json str":
+        (lambda: generator_to_json("x"), ValidationError),
+    "build_superoperator str":
+        (lambda: build_superoperator("x"), ValidationError),
+    "unvec dim str": (lambda: unvec(vec(RHO.entries), "x"), ValidationError),
+    "unvec dim float":
+        (lambda: unvec(vec(RHO.entries), 2.5), ValidationError),
 }
 
 

@@ -25,7 +25,7 @@ from fracdyn import (
     mittag_leffler,
     ml_partial_sum,
 )
-from fracdyn import specfun
+from fracdyn import fitting, specfun
 from fracdyn.specfun import m_wright_asymptotic
 
 
@@ -227,15 +227,15 @@ def test_ml_fold_matches_complex_path_and_mpmath(alpha, ml_mpmath):
 
 
 def test_ml_mixed_sign_array_equals_scalar_calls():
-    z = np.array([-1.0e200, -1.0e4, -30.0, -0.5, -0.0, 0.0, 1.0e-3, 0.7,
-                  4.0, 60.0, -7.0])
+    z = np.array([-1.0e200, -1.0e150, -1.0e4, -30.0, -0.5, -0.0, 0.0,
+                  1.0e-3, 0.7, 4.0, 60.0, -7.0])
     with mock.patch("fracdyn.specfun._ml_contour",
                     wraps=specfun._ml_contour) as spy:
         vals = mittag_leffler(0.7, z)
-    # Positive z, and z too large for the fold's d^2, take the complex path
-    # with its pole contour and residue.
+    # Positive z, and z from -1e150 down, too large for the fold's d^2,
+    # take the complex path with its pole contour and residue.
     (a, passed), = [c.args for c in spy.call_args_list]
-    complex_path = (z > 0.0) | (z < -1.0e150)
+    complex_path = (z > 0.0) | (z <= -1.0e150)
     assert a == 0.7 and np.array_equal(passed, z[complex_path])
     scalar = np.array([mittag_leffler(0.7, zz) for zz in z])
     # The fold sums each element on its own; pole contours are padded to
@@ -258,7 +258,7 @@ def test_ml_slope_closed_forms():
 
 
 def test_ml_fold_array_contract():
-    # All of these take the fold alone.
+    # The non-empty ones take the fold alone; empty ones return empty.
     for shape in [(), (5,), (3, 4), (0,), (2, 0)]:
         z = -np.arange(math.prod(shape), dtype=float).reshape(shape)
         vals = mittag_leffler(0.6, z)
@@ -363,6 +363,97 @@ def test_contours_from_the_prefix_are_the_direct_formula():
                     specfun._contour(a, m[:, None], hh[:, None], nn),
                     _direct_contour(a, m[:, None], hh[:, None], nn)):
                 assert np.array_equal(got, want)
+
+
+def _folded_half(a):
+    """The k >= 0 half of the shared contour, the weights of k >= 1
+    doubled, as the fold's real arrays."""
+    sa, w = specfun._shared_contour(a)
+    k0 = sa.size // 2
+    sa, w = sa[k0:], w[k0:].copy()
+    w[1:] *= 2.0
+    return sa.real, sa.imag**2, w.real, w.imag * sa.imag
+
+
+def test_folded_contour_is_the_doubled_half_of_the_shared_contour():
+    # The fold builds its 28 nodes from a doubled half prefix; doubling is
+    # exact, so the bits are those of the shared contour's half.  At
+    # alpha = 0.5 a scalar power may take numpy's square-root path, which
+    # an array of exponents would not.
+    alphas = [float(a) for a in fitting._ALPHA_GRID]
+    alphas += [float(a) for a in np.linspace(0.005, 0.995, 199)]
+    for a in alphas + [0.9995, 0.9999]:
+        got = specfun._folded_contour(a)
+        assert len(got) == 4 and got[0].size == 28
+        for g, want in zip(got, _folded_half(a)):
+            assert np.array_equal(g, want)
+
+
+def _parent_real_ml(a, z):
+    """E_a(z) for real z as the real path sums it: the folded half of the
+    shared contour where -1e150 < z <= 0, the complex sum elsewhere."""
+    flat = np.asarray(z, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if a == 1.0:
+            out = np.exp(flat)
+        else:
+            sr, si2, wr, wisi = _folded_half(a)
+            fold = (flat <= 0.0) & (flat > -1e150)
+            out = np.empty(flat.shape)
+            d = sr - flat[fold, None]
+            out[fold] = ((d * wr + wisi) / (d * d + si2)).sum(axis=1)
+            out[~fold] = specfun._ml_contour(
+                a, flat[~fold].astype(complex)).real
+            out[flat == 0.0] = 1.0
+    return out[0].item() if np.ndim(z) == 0 else out.reshape(np.shape(z))
+
+
+_REAL_DISPATCH_CASES = {
+    "zeros": np.array([-2.0, 0.0, -0.0, -1e-300, -7.5]),
+    "negative zero only": np.array([-0.0, -3.0]),
+    "at the fold bound": np.array([-1.0, -1e150, -2.0]),
+    "just inside the bound": np.array([-0.99e150, -1.0]),
+    "one positive": np.array([-4.0, -0.5, 0.25, -9.0]),
+    "empty": np.zeros(0),
+    "empty 2-d": np.zeros((2, 0)),
+    "0-d array": np.array(-1.5),
+    "python float": -1.5,
+    "2-d grid": -np.logspace(-3, 6, 1200).reshape(30, 40),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REAL_DISPATCH_CASES))
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.7, 0.9999, 1.0])
+def test_ml_real_dispatch_keeps_the_bits(case, alpha):
+    z = _REAL_DISPATCH_CASES[case]
+    got = mittag_leffler(alpha, z)
+    want = _parent_real_ml(alpha, z)
+    if np.ndim(z) == 0:
+        assert type(got) is float and got == want
+    else:
+        assert got.dtype == np.float64 and got.shape == np.shape(z)
+        # Bits, the sign of zero included.
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ml_real_dispatch_refuses_non_finite(bad):
+    for z in (bad, np.array([-1.0, bad]), np.array([[bad, -2.0]])):
+        with pytest.raises(DomainError, match="mittag_leffler"):
+            mittag_leffler(0.6, z)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 0.05, 0.5, 0.6, 0.99, 0.9999])
+def test_ml_fold_raises_no_floating_point_flag(alpha):
+    # The fold runs outside np.errstate: d^2 stays finite down to the
+    # bound and the denominator is positive.  Underflow is numpy's default
+    # ignore.
+    z = np.concatenate(([-0.99e150, -1e-300, 0.0, -0.0],
+                        -np.logspace(-12, 149, 200)))
+    with np.errstate(all="raise", under="ignore"):
+        vals = mittag_leffler(alpha, z)
+        assert mittag_leffler(alpha, -0.99e150) == vals[0]
+    assert np.all(np.isfinite(vals))
 
 
 def test_ml_array_contract():
