@@ -27,12 +27,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._table import write_csv
 from .errors import (AccuracyError, DomainError, NonConvergenceError,
                      NumericalInstabilityError, ValidationError, _count,
                      _finite_float, _nonneg_float, _order, _real,
                      _unit_interval)
 from .fitting import FitWindow, fit_fractional
-from .fracsolve import fam_solve, fam_solve_soe, ml_propagate
+from .fracsolve import (_trajectory_table, fam_solve, fam_solve_soe,
+                        ml_propagate)
 from .kernels import soe_compress
 from .lindblad import (PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix,
                        GKSLGenerator, build_superoperator, density_from_json,
@@ -227,48 +229,10 @@ def _resolve_out(out: str) -> Path:
 
 def _emit_csv(path: Path, digest: str, columns: Sequence[str], rows,
               extra_comments: Sequence[str] = ()) -> None:
-    """Write the comment header, the column names and ``rows``.
-
-    ``rows`` is a float table, as an (n, len(columns)) ndarray, or a sequence
-    of rows.  Every cell is written as ``str(cell)``: a float as its repr
-    (the shortest text that parses back to the same double), an int as its
-    digits, a str verbatim; NumPy scalars print the same way.  A table is
-    formatted a column at a time, and a column repeats whole where the
-    commands' tables repeat: one whose bits equal an earlier column's takes
-    that column's text (re rho_ji is re rho_ij in a Hermitian trajectory,
-    |u| is re u at epsilon = 0), and one whose cells share one bit pattern
-    is formatted once (im rho_ii is 0.0).  Comparing bits keeps 0.0 and
-    -0.0 apart.  The commands' cells are numbers or ``''``, which CSV
-    quotes only in a row that is one empty cell, so the rows are joined as
-    they are: the bytes are those of ``csv.writer(fh, lineterminator="\n")``.
-    """
-    if isinstance(rows, np.ndarray):
-        table = np.ascontiguousarray(rows.T, dtype=np.float64)
-        seen, cells = {}, []
-        for col, bits in zip(table, table.view(np.uint64)):
-            key = bits.tobytes()
-            if key not in seen:
-                seen[key] = ([repr(col[0].item())] * col.size
-                             if col.size and (bits == bits[0]).all()
-                             else list(map(repr, col.tolist())))
-            cells.append(seen[key])
-        rows = zip(*cells)
-    else:
-        rows = (map(str, row) for row in rows)
-    lines = map(",".join, rows)
-    if len(columns) == 1:
-        lines = (line or '""' for line in lines)
-    body = "\n".join(lines)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_digest: {digest}\n")
-        fh.write(f"# artifact: fracdyn {__version__}\n")
-        for comment in extra_comments:
-            fh.write(f"# {comment}\n")
-        fh.write(f"# columns: {','.join(columns)}\n")
-        fh.write(",".join(columns) + "\n")
-        if body:
-            fh.write(body)
-            fh.write("\n")
+    """Write ``rows`` under the digest, version, ``extra_comments`` and columns."""
+    write_csv(path, columns, rows,
+              [f"config_digest: {digest}", f"artifact: fracdyn {__version__}",
+               *extra_comments, f"columns: {','.join(columns)}"])
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +429,14 @@ def _cmd_solve(config: dict, out: Path, digest: str) -> int:
         raise ConfigError("$.h and $.n_steps: required in trajectory mode")
     h, n_steps = float(config["h"]), int(config["n_steps"])
     if config["history"] == "soe":
+        if config["scheme"] != "standard_dff":
+            raise ConfigError("$.scheme: the soe history takes standard_dff only")
         kernel = soe_compress(alpha, h, h * n_steps, float(config["soe_tol"]))
-        traj = fam_solve_soe(gen, alpha, h, n_steps, init, kernel,
-                             scheme=config["scheme"])
+        traj = fam_solve_soe(gen, alpha, h, n_steps, init, kernel)
     else:
         traj = fam_solve(gen, alpha, h, n_steps, init,
                          scheme=config["scheme"])
-    columns, table = traj._matrix_table()
-    _emit_csv(out, digest, columns, table)
+    _emit_csv(out, digest, *_trajectory_table(traj))
     return 0
 
 

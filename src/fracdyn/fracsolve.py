@@ -58,7 +58,6 @@ step's DensityMatrix, its entries alone, only when it is asked for.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from collections.abc import Sequence
@@ -68,6 +67,7 @@ from typing import Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._table import series_table, write_csv
 from .errors import (DomainError, FractionalOrder, NumericalInstabilityError,
                      ValidationError, _AlphaLike, _coerce_enum, _count,
                      _nonneg_float, _order)
@@ -248,37 +248,25 @@ class FracTrajectory:
     def final(self):
         return self.states[-1]
 
-    def _matrix_table(self) -> Tuple[list, np.ndarray]:
-        """Column names and (N + 1, 1 + 2 d^2) float table of a matrix
-        trajectory: t, then re/im of the row-major state entries."""
-        init, stack = self.states.init, self.states.stack
-        d = init.dim
-        columns = ["t"] + [f"{part}_{i}{j}" for i in range(d)
-                           for j in range(d) for part in ("re", "im")]
-        table = np.empty((len(stack) + 1, 1 + 2 * d * d))
-        table[:, 0] = self.times()
-        table[0, 1:] = init.entries.reshape(-1).view(np.float64)
-        table[1:, 1:] = stack.reshape(len(stack), -1).view(np.float64)
-        return columns, table
-
     def to_csv(self, path) -> None:
-        """Write the trajectory as CSV.
+        """Write the trajectory as CSV, one row per step: ``t,re_u,im_u,abs_u``
+        in scalar mode, ``t,re_00,im_00,...`` (row-major) in matrix mode."""
+        write_csv(path, *_trajectory_table(self))
 
-        Scalar mode: header ``t,re_u,im_u,abs_u``.  Matrix mode: header
-        ``t,re_00,im_00,...`` with row-major state entries.
-        """
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            if self.is_scalar:
-                writer.writerow(["t", "re_u", "im_u", "abs_u"])
-                for t, u in zip(self.times(), self.states):
-                    z = complex(u)
-                    writer.writerow([repr(float(t)), repr(z.real),
-                                     repr(z.imag), repr(abs(z))])
-            else:
-                columns, table = self._matrix_table()
-                writer.writerow(columns)
-                writer.writerows(table.tolist())
+
+def _trajectory_table(traj: FracTrajectory) -> Tuple[list, np.ndarray]:
+    """Column names and float table of :meth:`FracTrajectory.to_csv`."""
+    if traj.is_scalar:
+        return series_table(traj.times(), traj.states)
+    init, stack = traj.states.init, traj.states.stack
+    d = init.dim
+    columns = ["t"] + [f"{part}_{i}{j}" for i in range(d)
+                       for j in range(d) for part in ("re", "im")]
+    table = np.empty((len(stack) + 1, 1 + 2 * d * d))
+    table[:, 0] = traj.times()
+    table[0, 1:] = init.entries.reshape(-1).view(np.float64)
+    table[1:, 1:] = stack.reshape(len(stack), -1).view(np.float64)
+    return columns, table
 
 
 # ----------------------------------------------------------------------------
@@ -578,17 +566,13 @@ def fam_solve_soe(
     n_steps: int,
     init: Union[DensityMatrix, float, complex],
     soe: SOEKernel,
-    scheme: Union[WeightScheme, str] = WeightScheme.StandardDFF,
 ) -> FracTrajectory:
     """Like :func:`fam_solve` but with O(Q) compressed-history steps.
 
-    Requires the ``StandardDFF`` scheme (the compressed accumulators realize
-    the piecewise-linear product integral that underlies those weights) and a
-    :class:`~fracdyn.kernels.SOEKernel` valid on [h, N h] at matching alpha.
+    Runs ``StandardDFF``, whose piecewise-linear product integral the
+    compressed accumulators realize, with a :class:`~fracdyn.kernels.SOEKernel`
+    valid on [h, N h] at matching alpha.
     """
-    scheme = _coerce_enum(WeightScheme, scheme, "weight scheme")
-    if scheme is not WeightScheme.StandardDFF:
-        raise ValidationError("fam_solve_soe supports the StandardDFF scheme only")
     order, h, n_steps = _validate_solve_args(alpha, h, n_steps)
     a = order.alpha
 
@@ -616,7 +600,7 @@ def fam_solve_soe(
     b2 = ha_g * ((2.0 ** (a + 1.0) - 1.0) / (a + 1.0) - (2.0**a - 1.0) / a)
 
     u = _soe_core(M, u0, pref, a, a2, b2, w, eh, phi0, phi1, n_steps)
-    return _trajectory(u, order, h, scheme, init)
+    return _trajectory(u, order, h, WeightScheme.StandardDFF, init)
 
 
 def ml_propagate(

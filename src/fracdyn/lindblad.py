@@ -76,7 +76,10 @@ def vec(rho: np.ndarray) -> np.ndarray:
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`."""
     dim = _count(dim, "unvec dim", 1)
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="C")
+    v = np.asarray(v, dtype=complex)
+    if v.size != dim * dim:
+        raise ValidationError(f"unvec: {v.size} entries for dim^2 = {dim * dim}")
+    return v.reshape(dim, dim, order="C")
 
 
 def _as_square_complex(m, name: str) -> np.ndarray:
@@ -90,6 +93,15 @@ def _as_square_complex(m, name: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=complex)
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
         raise ValidationError(f"{name} must have finite entries")
+    return arr
+
+
+def _hermitian(m, name: str) -> np.ndarray:
+    """:func:`_as_square_complex`, refused unless Hermitian to _HERM_TOL."""
+    arr = _as_square_complex(m, name)
+    herm = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    if herm > _HERM_TOL:
+        raise ValidationError(f"{name} not Hermitian (defect {herm:g})")
     return arr
 
 
@@ -137,10 +149,8 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_square_complex(self.entries, "density matrix")
-        herm, trace, neg = map(float, _defects_and_hermitian_part(arr)[0])
-        if herm > _HERM_TOL:
-            raise ValidationError(f"density matrix not Hermitian (defect {herm:g})")
+        arr = _hermitian(self.entries, "density matrix")
+        _, trace, neg = map(float, _defects_and_hermitian_part(arr)[0])
         if trace > _TRACE_TOL:
             raise ValidationError(f"density matrix trace defect {trace:g}")
         if neg > _PSD_TOL:
@@ -224,10 +234,7 @@ class GKSLGenerator:
     channels: Tuple[Tuple[np.ndarray, float], ...] = ()
 
     def __post_init__(self) -> None:
-        H = _as_square_complex(self.hamiltonian, "hamiltonian")
-        herm = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-        if herm > _HERM_TOL:
-            raise ValidationError(f"hamiltonian not Hermitian (defect {herm:g})")
+        H = _hermitian(self.hamiltonian, "hamiltonian")
         d = H.shape[0]
         try:
             channels = [(jump, rate) for jump, rate in self.channels]

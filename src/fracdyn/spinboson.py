@@ -13,7 +13,6 @@ time-local model with rate Q'(t)/2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +20,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
+from ._table import series_table, write_csv
 from .errors import (DomainError, ValidationError, _finite_float, _instance,
                      _nonneg_float, _pair, _points, _real, _shaped)
 
@@ -288,13 +288,7 @@ class CoherenceSeries:
 
     def to_csv(self, path) -> None:
         """Write the series as CSV with header ``t,re_u,im_u,abs_u``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "re_u", "im_u", "abs_u"])
-            for t, u in zip(self.times, self.values):
-                z = complex(u)
-                writer.writerow([repr(float(t)), repr(z.real), repr(z.imag),
-                                 repr(abs(z))])
+        write_csv(path, *series_table(self.times, self.values))
 
 
 def exact_coherence(bath: BathSpec, epsilon: float, grid) -> CoherenceSeries:

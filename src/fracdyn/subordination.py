@@ -34,9 +34,9 @@ from .lindblad import (
     GKSLGenerator,
     Superoperator,
     _admit_flow,
-    _as_square_complex,
     _eigenbasis,
     _flow_operator,
+    _hermitian,
     semigroup_apply,
     unvec,
 )
@@ -274,11 +274,9 @@ def trajectory_estimate(
     n_samples = _count(n_samples, "n_samples", 2)
     seed = _count(seed, "seed")
     M, rho0 = _flow_operator(gen, init)
-    obs = _as_square_complex(observable, "observable")
+    obs = _hermitian(observable, "observable")
     if obs.shape != (gen.dim, gen.dim):
         raise ValidationError("observable shape does not match generator")
-    if np.max(np.abs(obs - obs.conj().T)) > 1e-12:
-        raise ValidationError("observable must be Hermitian")
 
     u = np.empty(n_samples)
     for b, lo in enumerate(range(0, n_samples, _MC_BLOCK)):

@@ -761,6 +761,32 @@ class TestSolve:
                "scheme": "paper_printed"}
         assert run(tmp_path, doc)[0] == 0
 
+    def test_soe_history_refuses_paper_printed(self, tmp_path, monkeypatch,
+                                               capsys):
+        def refuse(*args):
+            raise AssertionError("a kernel was compressed")
+
+        monkeypatch.setattr(cli, "soe_compress", refuse)
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.5, "h": 0.01, "n_steps": 100, "history": "soe",
+               "scheme": "paper_printed"}
+        code, out = run(tmp_path, doc)
+        assert code == 2
+        assert "$.scheme" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_library_csv_is_the_artifact_body(self, tmp_path):
+        doc = {"command": "solve", "generator": DEPHASING_GEN,
+               "alpha": 0.6, "h": 0.05, "n_steps": 20}
+        code, out = run(tmp_path, doc)
+        assert code == 0
+        traj = fam_solve(generator_from_json(DEPHASING_GEN), 0.6, 0.05, 20,
+                         plus_state())
+        traj.to_csv(tmp_path / "lib.csv")
+        body = b"".join(line for line in out.read_bytes().splitlines(True)
+                        if not line.startswith(b"#"))
+        assert (tmp_path / "lib.csv").read_bytes() == body
+
     def test_convergence_mode(self, tmp_path):
         doc = {"command": "solve", "generator": DEPHASING_GEN,
                "alpha": 0.6, "mode": "convergence",

@@ -355,6 +355,7 @@ WRONG_KIND_SITES = {
     "unvec dim str": (lambda: unvec(vec(RHO.entries), "x"), ValidationError),
     "unvec dim float":
         (lambda: unvec(vec(RHO.entries), 2.5), ValidationError),
+    "unvec size": (lambda: unvec(np.zeros(3), 2), ValidationError),
 }
 
 
@@ -377,7 +378,6 @@ OPTIONS = {
     ("cptp_diagnostics", "u"): None,
     ("default_fit_window", "end_factor"): 20.0,
     ("fam_solve", "scheme"): WeightScheme.StandardDFF,
-    ("fam_solve_soe", "scheme"): WeightScheme.StandardDFF,
     ("fit_fractional", "bath"): None,
     ("fit_fractional", "init"): None,
     ("fit_fractional", "max_evaluations"): 10000,

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import math
 import sys
 import threading
@@ -38,6 +39,7 @@ from fracdyn.lindblad import (
     semigroup_apply,
 )
 from fracdyn.specfun import mittag_leffler
+from fracdyn.spinboson import CoherenceSeries
 from fracdyn.subordination import subordinated_propagate
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -583,7 +585,7 @@ class TestMatrixStates:
 
     def test_table_reads_the_stack(self, trajectory):
         tr, _ = trajectory
-        columns, table = tr._matrix_table()
+        columns, table = fracsolve._trajectory_table(tr)
         assert len(columns) == table.shape[1]
         want = _restacked_table(tr)
         assert table.shape == want.shape
@@ -597,7 +599,7 @@ class TestMatrixStates:
 
         monkeypatch.setattr(fracsolve, "_admitted_state", refuse)
         assert len(tr.states) == 41
-        tr._matrix_table()
+        fracsolve._trajectory_table(tr)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +636,8 @@ class TestSoeSolve:
         dense = fam_solve(gen, alpha, h, n, init)
         fast = fam_solve_soe(gen, alpha, h, n, init, soe)
         assert np.any(dense.states.stack.imag != 0.0)
-        dev = np.max(np.abs(dense._matrix_table()[1]
-                            - fast._matrix_table()[1]))
+        dev = np.max(np.abs(fracsolve._trajectory_table(dense)[1]
+                            - fracsolve._trajectory_table(fast)[1]))
         assert dev < 10.0 * soe.tol
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.0])
@@ -681,8 +683,8 @@ class TestSoeSolve:
         soe = soe_compress(alpha, t_min=h, t_max=h * n, tol=1e-8)
         dense = fam_solve(gen, alpha, h, n, init)
         fast = fam_solve_soe(gen, alpha, h, n, init, soe)
-        dev = np.max(np.abs(dense._matrix_table()[1]
-                            - fast._matrix_table()[1]))
+        dev = np.max(np.abs(fracsolve._trajectory_table(dense)[1]
+                            - fracsolve._trajectory_table(fast)[1]))
         assert dev < 10.0 * soe.tol
 
     def test_alpha_one_identical(self):
@@ -711,8 +713,6 @@ class TestSoeSolve:
 
     def test_soe_validation(self):
         soe = soe_compress(0.5, t_min=0.01, t_max=1.0, tol=1e-8)
-        with pytest.raises(ValidationError):
-            fam_solve_soe(1.0, 0.5, 0.01, 100, 1.0, soe, "paper_printed")
         with pytest.raises(ValidationError):
             fam_solve_soe(1.0, 0.6, 0.01, 100, 1.0, soe)  # alpha mismatch
         with pytest.raises(ValidationError):
@@ -831,3 +831,33 @@ class TestCsvExport:
         final = tr.states[-1].entries
         assert float(rows[-1][5]) == pytest.approx(final[1, 0].real, abs=0.0)
         assert float(rows[-1][6]) == pytest.approx(final[1, 0].imag, abs=0.0)
+
+    def test_scalar_csv_is_its_coherence_series_csv(self, tmp_path):
+        tr = fam_solve(1.0 - 0.8j, 0.6, 0.05, 40, 0.5)
+        assert np.any(tr.states.imag != 0.0)
+        tr.to_csv(tmp_path / "traj.csv")
+        CoherenceSeries(tr.times(), tr.states, "fractional").to_csv(
+            tmp_path / "series.csv")
+        assert ((tmp_path / "traj.csv").read_bytes()
+                == (tmp_path / "series.csv").read_bytes())
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_csv_bytes_are_csv_writer_bytes(self, tmp_path, scalar):
+        # Each cell is the repr of its float, |u| that of abs(complex), and
+        # each line ends in "\n".
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        if scalar:
+            tr = fam_solve(1.0 - 0.8j, 0.6, 0.05, 40, 0.5)
+            writer.writerow(["t", "re_u", "im_u", "abs_u"])
+            writer.writerows((repr(float(t)), repr(z.real), repr(z.imag),
+                              repr(abs(z)))
+                             for t, z in zip(tr.times(), map(complex, tr.states)))
+        else:
+            gen, init = MATRIX_FLOWS["d3"]
+            tr = fam_solve(gen, 0.6, 0.05, 40, init)
+            writer.writerow(["t"] + [f"{part}_{i}{j}" for i in range(3)
+                                     for j in range(3) for part in ("re", "im")])
+            writer.writerows(_restacked_table(tr).tolist())
+        tr.to_csv(tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == want.getvalue().encode()

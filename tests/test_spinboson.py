@@ -13,6 +13,8 @@ and ``thermal_c_mpmath`` fixtures of conftest.py), and the adaptive
 quadrature of the defining integrals below, which converges where it is used.
 """
 
+import csv
+import io
 import math
 from typing import Optional
 
@@ -704,6 +706,27 @@ class TestCoherenceSeries:
         cells = lines[2].split(",")
         assert float(cells[0]) == 1.0
         assert float(cells[3]) == pytest.approx(math.exp(-0.5), rel=1e-14)
+
+    def test_csv_bytes_are_csv_writer_bytes(self, tmp_path):
+        # |u| is written as repr(abs(complex(u))), bit for bit, over 12
+        # decades either way, signed zeros and the ends of the float range.
+        rng = np.random.default_rng(3)
+        n = 4000
+        scale = 10.0 ** rng.uniform(-12.0, 12.0, (2, n))
+        values = (rng.normal(size=n) * scale[0]
+                  + 1j * rng.normal(size=n) * scale[1])
+        values[:6] = [0.0, -0.0 - 0.0j, 5e-324 - 5e-324j, 1e308 + 1e308j,
+                      3.0 + 4.0j, -1.0 + 0.0j]
+        ser = CoherenceSeries(np.arange(n) * 0.5, values, "fractional")
+        path = tmp_path / "series.csv"
+        ser.to_csv(path)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["t", "re_u", "im_u", "abs_u"])
+        writer.writerows((repr(float(t)), repr(z.real), repr(z.imag),
+                          repr(abs(z)))
+                         for t, z in zip(ser.times, map(complex, ser.values)))
+        assert path.read_bytes() == want.getvalue().encode()
 
     def test_caller_arrays_stay_writeable(self):
         g = np.array([0.0, 0.5, 1.0])
